@@ -99,6 +99,14 @@ HIVE_BENCH_SF=0.02 cargo run -q --release -p hive-bench --bin bench_acid --offli
 echo "==> data skipping bench gate"
 HIVE_BENCH_SF=0.02 cargo run -q --release -p hive-bench --bin bench_skip --offline -- --check
 
+# Repository benchmark self-tests: hivebench is its own Cargo workspace
+# (path dependencies on crates/*), so the workspace run above never builds
+# it. Its tests check the statistics helpers (percentiles, geomean, drift
+# windows, span self time) and that every workload's engine answers agree
+# with its pure-Rust oracle at tiny scale.
+echo "==> hivebench self-tests (statistics, oracle-vs-engine agreement)"
+cargo test -q --release --offline --manifest-path hivebench/Cargo.toml
+
 if [[ "${1:-}" == "--release" ]]; then
     echo "==> cargo build --release"
     cargo build --release --workspace --offline

@@ -8,7 +8,7 @@ use hive_common::config::keys;
 use hive_common::{CancelToken, HiveConf, HiveError, Result, Row};
 use hive_dfs::{Dfs, FaultPlan, IoScope};
 use hive_mapreduce::{DagReport, MrEngine};
-use hive_obs::{MetricKey, MetricValue, MetricsRegistry, MetricsSnapshot, SpanKind, Trace};
+use hive_obs::{MetricKey, MetricValue, MetricsRegistry, SpanKind, Trace};
 use hive_planner::fingerprint::{knob_fingerprint, normalize_sql};
 use hive_planner::{plan_query, CompiledQuery};
 use hive_ql::{parse, SelectStmt, Statement};
@@ -37,15 +37,14 @@ pub struct StatementCtx<'a> {
     pub txn: Option<&'a crate::acid::TxnManager>,
 }
 
-/// Observability payload attached to every [`QueryResult`].
+/// Observability payload attached to every [`QueryResult`]: this
+/// statement's trace only. Cumulative metrics live in the server's registry
+/// (`HiveServer::metrics().snapshot()`, `HiveSession::metrics_snapshot()`),
+/// so a statement's metrics cost does not grow with the server's age.
 #[derive(Debug, Clone, Default)]
 pub struct QueryMetrics {
     /// Span tree for this statement (query → plan → jobs → tasks/operators).
     pub trace: Trace,
-    /// Registry snapshot taken right after this statement recorded into it.
-    /// Cumulative over the session, sorted, and stable under the
-    /// deterministic clock.
-    pub snapshot: MetricsSnapshot,
 }
 
 /// The result of one statement.
@@ -311,10 +310,7 @@ fn execute_select(
         return Ok(QueryResult {
             columns,
             rows: vec![row],
-            metrics: QueryMetrics {
-                trace,
-                snapshot: registry.snapshot(),
-            },
+            metrics: QueryMetrics { trace },
             ..Default::default()
         });
     }
@@ -347,10 +343,7 @@ fn execute_select(
         rows,
         report,
         explain: None,
-        metrics: QueryMetrics {
-            trace,
-            snapshot: registry.snapshot(),
-        },
+        metrics: QueryMetrics { trace },
     })
 }
 
@@ -358,43 +351,54 @@ fn execute_select(
 /// `exec.*`/`dfs.*`, per-job labeled counters, scan profiles, simulated-time
 /// histograms, and per-operator row/CPU counters. Every value is derived
 /// from the report (merged single-threaded from task results), so the
-/// registry contents do not depend on worker-thread count.
+/// registry contents do not depend on worker-thread count. Operators are
+/// keyed by their literal-free label, so the registry's series are bounded
+/// by plan shape; the whole report lands under one hold of the lock.
 fn record_report(registry: &MetricsRegistry, report: &DagReport) {
-    for (name, v) in report.counters.entries() {
-        registry.record(MetricKey::new(&format!("exec.{name}")), v);
-    }
-    // DFS traffic as seen by the per-task IoScopes the engine enters.
-    registry
-        .counter("dfs.bytes_read")
-        .add(report.counters.bytes_read);
-    registry
-        .counter("dfs.bytes_written")
-        .add(report.counters.bytes_written);
-    registry.gauge("exec.sim_total_s").add(report.sim_total_s);
-    for jr in &report.jobs {
-        let job = registry.scope(&[("job", &jr.name)]);
-        for (name, v) in jr.counters.entries() {
-            job.record(&format!("job.{name}"), v);
+    registry.batch(|m| {
+        for (name, v) in report.counters.entries() {
+            m.record(&MetricKey::new(&format!("exec.{name}")), v);
         }
-        for (name, v) in jr.scan.entries() {
-            job.record(&format!("scan.{name}"), v);
+        // DFS traffic as seen by the per-task IoScopes the engine enters,
+        // and the statement's simulated time.
+        for (name, v) in [
+            ("dfs.bytes_read", report.counters.bytes_read.into()),
+            ("dfs.bytes_written", report.counters.bytes_written.into()),
+            ("exec.sim_total_s", report.sim_total_s.into()),
+        ] {
+            m.record(&MetricKey::new(name), v);
         }
-        registry
-            .histogram("job.sim_total_s")
-            .observe(jr.sim_total_s);
-        let task_hist = registry.histogram_with("task.sim_s", &[("job", &jr.name)]);
-        for t in &jr.tasks {
-            task_hist.observe(t.sim_s);
-        }
-        for (phase, ops) in [("map", &jr.map_operators), ("reduce", &jr.reduce_operators)] {
-            for p in ops {
-                let scope = job.scope(&[("phase", phase), ("op", &p.name)]);
-                scope.record("operator.rows_in", MetricValue::U64(p.rows_in));
-                scope.record("operator.rows_out", MetricValue::U64(p.rows_out));
-                scope.record("operator.cpu_ns", MetricValue::U64(p.cpu_ns));
+        for jr in &report.jobs {
+            let job = [("job", jr.name.as_str())];
+            for (name, v) in jr.counters.entries() {
+                m.record(&MetricKey::with_labels(&format!("job.{name}"), &job), v);
+            }
+            for (name, v) in jr.scan.entries() {
+                m.record(&MetricKey::with_labels(&format!("scan.{name}"), &job), v);
+            }
+            m.observe(&MetricKey::new("job.sim_total_s"), jr.sim_total_s);
+            let task_sim_s = MetricKey::with_labels("task.sim_s", &job);
+            for t in &jr.tasks {
+                m.observe(&task_sim_s, t.sim_s);
+            }
+            for (phase, ops) in [("map", &jr.map_operators), ("reduce", &jr.reduce_operators)] {
+                for p in ops {
+                    let op = [
+                        ("job", jr.name.as_str()),
+                        ("phase", phase),
+                        ("op", &p.label),
+                    ];
+                    for (name, v) in [
+                        ("operator.rows_in", p.rows_in),
+                        ("operator.rows_out", p.rows_out),
+                        ("operator.cpu_ns", p.cpu_ns),
+                    ] {
+                        m.record(&MetricKey::with_labels(name, &op), v.into());
+                    }
+                }
             }
         }
-    }
+    });
 }
 
 /// Attach the admission span — pool assignment and queue wait — under the

@@ -77,6 +77,13 @@ pub enum Emit {
 pub trait Operator: Send {
     fn name(&self) -> String;
 
+    /// The metrics registry's `op` label: the name without statement
+    /// literals, so registry series are bounded by plan shape. Defaults to
+    /// the name, which for most operators holds none.
+    fn label(&self) -> String {
+        self.name()
+    }
+
     /// Handle one message.
     fn receive(&mut self, msg: Message) -> Result<Vec<Emit>>;
 
@@ -303,6 +310,7 @@ impl OperatorGraph {
             .enumerate()
             .map(|(i, op)| OpProfile {
                 name: op.name(),
+                label: op.label(),
                 rows_in: self.rows_in[i],
                 rows_out: self.rows_out[i],
                 cpu_ns: self.cpu_ns[i],

@@ -102,6 +102,10 @@ impl Operator for LimitOperator {
         format!("LimitOperator({})", self.limit)
     }
 
+    fn label(&self) -> String {
+        "LimitOperator".into()
+    }
+
     fn receive(&mut self, msg: Message) -> Result<Vec<Emit>> {
         match msg {
             Message::Row { row, tag } => {

@@ -46,6 +46,10 @@ impl Operator for VectorOpAdapter {
         self.inner.name()
     }
 
+    fn label(&self) -> String {
+        self.inner.label()
+    }
+
     fn receive(&mut self, msg: Message) -> Result<Vec<Emit>> {
         match msg {
             Message::Batch { batch, tag } => {

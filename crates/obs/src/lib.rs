@@ -22,6 +22,8 @@ pub mod trace;
 
 pub use counters::ExecCounters;
 pub use json::Json;
-pub use metrics::{MetricKey, MetricValue, MetricsRegistry, MetricsScope, MetricsSnapshot};
+pub use metrics::{
+    MetricKey, MetricValue, MetricsBatch, MetricsRegistry, MetricsScope, MetricsSnapshot,
+};
 pub use profile::{OpProfile, ScanProfile};
 pub use trace::{AttrValue, SpanKind, SpanRecord, TaskPhase, TaskTrace, Trace};

@@ -10,7 +10,7 @@
 
 use crate::json::Json;
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// A counter-like value: unsigned for event counts, float for accumulated
 /// seconds. What [`crate::counters!`]-generated structs export.
@@ -109,6 +109,25 @@ struct Inner {
     histograms: BTreeMap<MetricKey, HistogramStat>,
 }
 
+/// Lock the registry, recovering from poisoning: every update leaves each
+/// series a valid value on its own, so a panicking holder corrupts nothing.
+fn lock(inner: &Mutex<Inner>) -> MutexGuard<'_, Inner> {
+    inner.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// Apply `f` to the series at `key`, cloning the key only when the series
+/// is new: updates to an existing series allocate nothing.
+fn update<V: Default>(map: &mut BTreeMap<MetricKey, V>, key: &MetricKey, f: impl FnOnce(&mut V)) {
+    match map.get_mut(key) {
+        Some(v) => f(v),
+        None => {
+            let mut v = V::default();
+            f(&mut v);
+            map.insert(key.clone(), v);
+        }
+    }
+}
+
 /// A shared, thread-safe registry of typed metrics. Cloning shares state,
 /// so a session, its engine, and an external sink can all hold handles.
 #[derive(Debug, Clone, Default)]
@@ -172,26 +191,22 @@ impl MetricsRegistry {
         }
     }
 
-    pub fn histogram_with(&self, name: &str, labels: &[(&str, &str)]) -> Histogram {
-        Histogram {
-            inner: Arc::clone(&self.inner),
-            key: MetricKey::with_labels(name, labels),
-        }
-    }
-
     /// Record a [`MetricValue`]: `U64` increments a counter, `F64`
     /// accumulates into a gauge. How counter-struct entries land here.
     pub fn record(&self, key: MetricKey, value: MetricValue) {
-        let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        match value {
-            MetricValue::U64(n) => *inner.counters.entry(key).or_insert(0) += n,
-            MetricValue::F64(n) => *inner.gauges.entry(key).or_insert(0.0) += n,
-        }
+        self.batch(|m| m.record(&key, value));
+    }
+
+    /// Run `f` with the registry locked once, so a caller recording many
+    /// series (one statement's report) takes the lock once, not per series.
+    pub fn batch<R>(&self, f: impl FnOnce(&mut MetricsBatch<'_>) -> R) -> R {
+        let mut inner = lock(&self.inner);
+        f(&mut MetricsBatch { inner: &mut inner })
     }
 
     /// A consistent point-in-time copy of every metric.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        let inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
+        let inner = lock(&self.inner);
         MetricsSnapshot {
             counters: inner.counters.clone(),
             gauges: inner.gauges.clone(),
@@ -201,10 +216,31 @@ impl MetricsRegistry {
 
     /// Drop every recorded value (between benchmark phases).
     pub fn reset(&self) {
-        let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
+        let mut inner = lock(&self.inner);
         inner.counters.clear();
         inner.gauges.clear();
         inner.histograms.clear();
+    }
+}
+
+/// Updates applied under one hold of the registry lock; see
+/// [`MetricsRegistry::batch`].
+pub struct MetricsBatch<'a> {
+    inner: &'a mut Inner,
+}
+
+impl MetricsBatch<'_> {
+    /// As [`MetricsRegistry::record`].
+    pub fn record(&mut self, key: &MetricKey, value: MetricValue) {
+        match value {
+            MetricValue::U64(n) => update(&mut self.inner.counters, key, |c| *c += n),
+            MetricValue::F64(n) => update(&mut self.inner.gauges, key, |g| *g += n),
+        }
+    }
+
+    /// As [`Histogram::observe`].
+    pub fn observe(&mut self, key: &MetricKey, v: f64) {
+        update(&mut self.inner.histograms, key, |h| h.observe(v));
     }
 }
 
@@ -255,10 +291,6 @@ impl MetricsScope {
             key: self.key(name),
         }
     }
-
-    pub fn record(&self, name: &str, value: MetricValue) {
-        self.registry.record(self.key(name), value);
-    }
 }
 
 /// A monotonically increasing event count.
@@ -274,12 +306,11 @@ impl Counter {
     }
 
     pub fn add(&self, n: u64) {
-        let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        *inner.counters.entry(self.key.clone()).or_insert(0) += n;
+        update(&mut lock(&self.inner).counters, &self.key, |c| *c += n);
     }
 
     pub fn get(&self) -> u64 {
-        let inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
+        let inner = lock(&self.inner);
         inner.counters.get(&self.key).copied().unwrap_or(0)
     }
 }
@@ -293,17 +324,15 @@ pub struct Gauge {
 
 impl Gauge {
     pub fn set(&self, v: f64) {
-        let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        inner.gauges.insert(self.key.clone(), v);
+        update(&mut lock(&self.inner).gauges, &self.key, |g| *g = v);
     }
 
     pub fn add(&self, v: f64) {
-        let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        *inner.gauges.entry(self.key.clone()).or_insert(0.0) += v;
+        update(&mut lock(&self.inner).gauges, &self.key, |g| *g += v);
     }
 
     pub fn get(&self) -> f64 {
-        let inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
+        let inner = lock(&self.inner);
         inner.gauges.get(&self.key).copied().unwrap_or(0.0)
     }
 }
@@ -317,16 +346,13 @@ pub struct Histogram {
 
 impl Histogram {
     pub fn observe(&self, v: f64) {
-        let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        inner
-            .histograms
-            .entry(self.key.clone())
-            .or_default()
-            .observe(v);
+        update(&mut lock(&self.inner).histograms, &self.key, |h| {
+            h.observe(v)
+        });
     }
 
     pub fn get(&self) -> HistogramStat {
-        let inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
+        let inner = lock(&self.inner);
         inner.histograms.get(&self.key).copied().unwrap_or_default()
     }
 }

@@ -12,6 +12,9 @@ use crate::counters;
 pub struct OpProfile {
     /// Operator description, e.g. `Filter(price > 10)`.
     pub name: String,
+    /// The name without statement literals (e.g. `Filter`): the metrics
+    /// registry's `op` label, so its series are bounded by plan shape.
+    pub label: String,
     /// Rows pushed into the operator.
     pub rows_in: u64,
     /// Rows the operator emitted downstream.
@@ -28,6 +31,7 @@ impl OpProfile {
     pub fn merge(&mut self, other: &OpProfile) {
         if self.name.is_empty() {
             self.name = other.name.clone();
+            self.label = other.label.clone();
         }
         self.rows_in += other.rows_in;
         self.rows_out += other.rows_out;
@@ -132,20 +136,23 @@ mod tests {
     fn op_profile_merges_and_keeps_name() {
         let mut a = OpProfile::default();
         a.merge(&OpProfile {
-            name: "Filter".into(),
+            name: "Filter(price > 10)".into(),
+            label: "Filter".into(),
             rows_in: 10,
             rows_out: 4,
             cpu_ns: 100,
             detail: vec![("batches".into(), 2)],
         });
         a.merge(&OpProfile {
-            name: "Filter".into(),
+            name: "Filter(price > 10)".into(),
+            label: "Filter".into(),
             rows_in: 5,
             rows_out: 1,
             cpu_ns: 50,
             detail: vec![("batches".into(), 1), ("repeats".into(), 7)],
         });
-        assert_eq!(a.name, "Filter");
+        assert_eq!(a.name, "Filter(price > 10)");
+        assert_eq!(a.label, "Filter");
         assert_eq!(a.rows_in, 15);
         assert_eq!(a.rows_out, 5);
         assert_eq!(a.cpu_ns, 150);

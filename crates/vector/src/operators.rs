@@ -19,6 +19,12 @@ use hive_common::Result;
 pub trait VectorOperator: Send {
     fn name(&self) -> String;
 
+    /// The metrics registry's `op` label: the name without statement
+    /// literals. Defaults to the name, which for most operators holds none.
+    fn label(&self) -> String {
+        self.name()
+    }
+
     /// Process one batch. Returns `true` when the (possibly mutated) input
     /// batch flows on to this operator's child; re-batching operators (the
     /// map join) consume the input and emit fresh batches through `out`.
@@ -58,6 +64,10 @@ impl VectorOperator for VectorFilterOperator {
 
     fn name(&self) -> String {
         format!("VectorFilter[{}]", self.predicate.name())
+    }
+
+    fn label(&self) -> String {
+        "VectorFilter".to_string()
     }
 }
 

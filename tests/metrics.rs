@@ -603,6 +603,118 @@ fn plan_cache_keeps_execution_counters_and_determinism() {
     );
 }
 
+/// Every metric series the registry holds: counters, gauges, histograms.
+fn series_count(hive: &HiveSession) -> usize {
+    let snap = hive.metrics_snapshot();
+    snap.counters.len() + snap.gauges.len() + snap.histograms.len()
+}
+
+#[test]
+fn registry_series_stay_bounded_by_plan_shape() {
+    // Each lookup carries its own literals (predicate and LIMIT), so a
+    // registry labeled by operator display names would grow with every
+    // statement. Labels are literal-free: after the first two lookups the
+    // series count must not move.
+    let lookup = |i: i64| {
+        format!(
+            "SELECT okey, total FROM orders WHERE okey = {} LIMIT {}",
+            i * 17 + 3,
+            i + 1
+        )
+    };
+    let mut hive = session(2);
+    load_tpch_style(&mut hive);
+    let mut after_two = 0;
+    for i in 0..200 {
+        assert_eq!(hive.execute(&lookup(i)).unwrap().rows.len(), 1);
+        if i == 1 {
+            after_two = series_count(&hive);
+        }
+    }
+    assert_eq!(series_count(&hive), after_two);
+    // EXPLAIN ANALYZE and the trace keep the full display name.
+    let text = hive
+        .execute(&format!("EXPLAIN ANALYZE {}", lookup(7)))
+        .unwrap()
+        .explain
+        .unwrap();
+    assert!(
+        text.contains("VectorFilter[") && text.contains("122)"),
+        "{text}"
+    );
+    assert!(text.contains("LimitOperator(8)"), "{text}");
+    let trace = hive.execute(&lookup(7)).unwrap().metrics.trace.render();
+    assert!(
+        trace.contains("VectorFilter[") && trace.contains("122)"),
+        "{trace}"
+    );
+}
+
+/// Random filter / group-by statements: a map-side filter + aggregate, a
+/// map-only multi-predicate scan, and a reduce-side join whose one map
+/// phase filters both inputs (two `VectorFilter`s sharing a series).
+fn conservation_query(shape: usize, a: i64, b: i64) -> String {
+    match shape {
+        0 => format!("SELECT cust, COUNT(*) AS n FROM orders WHERE total > {a} GROUP BY cust"),
+        1 => format!("SELECT okey, total FROM orders WHERE total > {a} AND cust < {b}"),
+        _ => format!(
+            "SELECT orders.cust, COUNT(*) AS n, SUM(orders.total) AS rev \
+             FROM orders JOIN customer ON (orders.cust = customer.cust) \
+             WHERE orders.total > {a} AND customer.cust < {b} GROUP BY orders.cust"
+        ),
+    }
+}
+
+proptest::proptest! {
+    #![proptest_config(proptest::prelude::ProptestConfig::with_cases(8))]
+
+    #[test]
+    fn operator_series_conserve_profile_totals(
+        queries in proptest::collection::vec((0usize..3, -10i64..130, 0i64..100), 1..6),
+    ) {
+        // Every `(job, phase, op)` registry series must equal the sum of the
+        // matching operator profiles over the statements' reports: merging
+        // literal-bearing names into one label drops nothing and counts
+        // nothing twice.
+        let mut hive = session(2);
+        hive.try_set("hive.auto.convert.join", "false").unwrap();
+        load_tpch_style(&mut hive);
+        let mut expected = std::collections::BTreeMap::new();
+        for (shape, a, b) in queries {
+            let report = hive.execute(&conservation_query(shape, a, b)).unwrap().report;
+            for jr in &report.jobs {
+                for (phase, ops) in [("map", &jr.map_operators), ("reduce", &jr.reduce_operators)] {
+                    if shape == 2 && phase == "map" {
+                        let filters = ops.iter().filter(|p| p.label == "VectorFilter").count();
+                        proptest::prop_assert_eq!(filters, 2);
+                    }
+                    for p in ops {
+                        for (name, v) in [
+                            ("operator.rows_in", p.rows_in),
+                            ("operator.rows_out", p.rows_out),
+                            ("operator.cpu_ns", p.cpu_ns),
+                        ] {
+                            let key = [name, &jr.name, phase, &p.label].map(String::from);
+                            *expected.entry(key).or_insert(0u64) += v;
+                        }
+                    }
+                }
+            }
+        }
+        let snap = hive.metrics_snapshot();
+        let actual: std::collections::BTreeMap<_, _> = snap
+            .counters
+            .iter()
+            .filter(|(k, _)| k.name.starts_with("operator."))
+            .map(|(k, v)| {
+                let key = [&k.name, &k.labels["job"], &k.labels["phase"], &k.labels["op"]];
+                (key.map(String::clone), *v)
+            })
+            .collect();
+        proptest::prop_assert_eq!(actual, expected);
+    }
+}
+
 #[test]
 fn unknown_knob_errors_carry_suggestions() {
     let mut hive = HiveSession::in_memory();

@@ -10,6 +10,19 @@ cargo fmt --all -- --check
 echo "==> cargo clippy (deny warnings)"
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
+# Dead-knob gate: every knob constant registered in the config registry
+# must be read by some source file other than config.rs itself. A knob no
+# code reads is accepted by SET and silently ignored.
+echo "==> dead-knob gate"
+dead_knobs=0
+for name in $(grep -oE '^    [A-Z][A-Z0-9_]*: [A-Za-z0-9]+ = "' crates/common/src/config.rs | awk -F: '{gsub(/ /, "", $1); print $1}'); do
+    if ! grep -rlw --include='*.rs' -e "$name" crates/*/src src | grep -qv '^crates/common/src/config.rs$'; then
+        echo "dead knob: $name is registered in crates/common/src/config.rs but never read"
+        dead_knobs=1
+    fi
+done
+[[ $dead_knobs == 0 ]]
+
 echo "==> cargo test"
 cargo test -q --workspace --offline
 

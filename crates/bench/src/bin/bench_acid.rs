@@ -168,7 +168,7 @@ fn main() {
     let merged_row = run_phase(
         "merge_on_read_row",
         &server,
-        &[(keys::VECTORIZED_ACID_ENABLED, "false")],
+        &[(keys::VECTORIZED_ENABLED, "false")],
     );
     let merged = run_phase("merge_on_read_vectorized", &server, &[]);
     assert_eq!(

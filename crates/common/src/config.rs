@@ -294,11 +294,6 @@ knobs! {
     /// Vectorize the shuffle boundary: serialize key/value pairs straight
     /// from batches without materializing intermediate rows.
     VECTORIZED_REDUCESINK_ENABLED: bool = "hive.vectorized.execution.reducesink.enabled", "true";
-    /// Run ACID merge-on-read scans batch-native: deltas are merged as
-    /// batches and delete masks are applied to the `selected[]` lane by
-    /// file ordinal. When off, scans of transactional tables fall back to
-    /// the row-at-a-time merge path.
-    VECTORIZED_ACID_ENABLED: bool = "hive.vectorized.execution.acid.enabled", "true";
     /// Cost-based join reordering (the paper's Section 9 outlook).
     CBO_ENABLE: bool = "hive.cbo.enable", "false";
     /// Answer COUNT/MIN/MAX/SUM-only queries from ORC file statistics
@@ -307,17 +302,10 @@ knobs! {
     COMPUTE_USING_STATS: bool = "hive.compute.query.using.stats", "false";
     /// Rows per vectorized batch (paper default: 1024).
     VECTORIZED_BATCH_SIZE: u64 = "hive.vectorized.batch.size", "1024";
-    /// Default table file format when `CREATE TABLE` does not pin one.
+    /// File format the TPC-H data generator creates its tables in.
+    /// `CREATE TABLE` without `STORED AS` always uses Text.
     DEFAULT_FILEFORMAT: String = "hive.default.fileformat", "orc",
         values("text", "textfile", "seq", "sequencefile", "rcfile", "rc", "orc", "orcfile");
-    /// DFS block size in bytes (paper cluster: 512 MB).
-    DFS_BLOCK_SIZE: u64 = "dfs.block.size", "536870912";
-    /// DFS replication factor.
-    DFS_REPLICATION: u64 = "dfs.replication", "3";
-    /// Simulated cluster: number of worker nodes (paper: 10 slaves).
-    CLUSTER_NODES: u64 = "mapreduce.cluster.nodes", "10";
-    /// Simulated cluster: concurrent task slots per node (paper: 3).
-    CLUSTER_SLOTS_PER_NODE: u64 = "mapreduce.cluster.slots.per.node", "3";
     /// Number of reduce tasks per job unless the plan pins one.
     REDUCE_TASKS: u64 = "mapreduce.job.reduces", "10";
     /// Memory available to one task in bytes (m1.xlarge-ish scaled down).
@@ -675,8 +663,6 @@ mod tests {
         assert_eq!(c.get(knobs::ORC_DICT_THRESHOLD), 0.8);
         assert_eq!(c.get(knobs::RCFILE_ROWGROUP_SIZE), 4 << 20);
         assert_eq!(c.get(knobs::VECTORIZED_BATCH_SIZE), 1024);
-        assert_eq!(c.get(knobs::CLUSTER_NODES), 10);
-        assert_eq!(c.get(knobs::CLUSTER_SLOTS_PER_NODE), 3);
         // String shims agree with the typed registry.
         assert_eq!(c.get_usize(keys::ORC_STRIPE_SIZE).unwrap(), 256 << 20);
         assert_eq!(c.get_usize(keys::VECTORIZED_BATCH_SIZE).unwrap(), 1024);
@@ -710,9 +696,9 @@ mod tests {
         let mut c = HiveConf::new();
         c.set(keys::VECTORIZED_ENABLED, "false");
         assert!(!c.get(knobs::VECTORIZED_ENABLED));
-        let c2 = HiveConf::new().with_knob(knobs::CLUSTER_NODES, 4);
-        assert_eq!(c2.get(knobs::CLUSTER_NODES), 4);
-        assert_eq!(c2.get_usize(keys::CLUSTER_NODES).unwrap(), 4);
+        let c2 = HiveConf::new().with_knob(knobs::REDUCE_TASKS, 4);
+        assert_eq!(c2.get(knobs::REDUCE_TASKS), 4);
+        assert_eq!(c2.get_usize(keys::REDUCE_TASKS).unwrap(), 4);
     }
 
     #[test]
@@ -795,9 +781,9 @@ mod tests {
 
     #[test]
     fn effective_merges_defaults_and_overrides() {
-        let c = HiveConf::new().with(keys::CLUSTER_NODES, "4");
+        let c = HiveConf::new().with(keys::REDUCE_TASKS, "4");
         let eff = c.effective();
-        assert_eq!(eff[keys::CLUSTER_NODES], "4");
-        assert_eq!(eff[keys::CLUSTER_SLOTS_PER_NODE], "3");
+        assert_eq!(eff[keys::REDUCE_TASKS], "4");
+        assert_eq!(eff[keys::TASK_MEMORY], "1073741824");
     }
 }

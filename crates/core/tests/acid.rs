@@ -354,9 +354,9 @@ fn explain_analyze_acid_lines_are_gated_on_acid_state() {
 /// are batch-native end to end — the runtime profile shows Vector*
 /// operators and ZERO RowBridge crossings even while the scan is merging
 /// live deltas and masking deletes. Turning
-/// `hive.vectorized.execution.acid.enabled` off must restore the
-/// row-at-a-time merge path (no vectorized operators, no bridge — the
-/// chain simply is not built) and return byte-identical rows.
+/// `hive.vectorized.execution.enabled` off must run the row-at-a-time
+/// merge (no vectorized operators, no bridge — the chain simply is not
+/// built) and return byte-identical rows.
 #[test]
 fn acid_chains_vectorize_with_zero_row_bridges() {
     let mut hive = acid_session();
@@ -400,7 +400,7 @@ fn acid_chains_vectorize_with_zero_row_bridges() {
             "merge-on-read lines missing for {sql}:\n{profile}"
         );
 
-        hive.set(keys::VECTORIZED_ACID_ENABLED, "false");
+        hive.set(keys::VECTORIZED_ENABLED, "false");
         let row_rows = sorted(hive.execute(sql).unwrap().rows);
         let row_profile = hive
             .execute(&format!("EXPLAIN ANALYZE {sql}"))
@@ -409,13 +409,13 @@ fn acid_chains_vectorize_with_zero_row_bridges() {
             .unwrap();
         assert!(
             !row_profile.contains("Vector") && !row_profile.contains("RowBridge"),
-            "acid knob off must fall back to pure row mode for {sql}:\n{row_profile}"
+            "vectorization off must fall back to pure row mode for {sql}:\n{row_profile}"
         );
         assert!(
             row_profile.contains("acid: snapshot_gen="),
             "row-mode merge lost its acid lines for {sql}:\n{row_profile}"
         );
-        hive.set(keys::VECTORIZED_ACID_ENABLED, "true");
+        hive.set(keys::VECTORIZED_ENABLED, "true");
 
         assert_eq!(vec_rows, row_rows, "modes disagree for {sql}");
     }

@@ -6,6 +6,7 @@
 //! responsible for the paper's TPC-H observations in Table 2 and Fig. 9.
 
 use crate::{random_date, random_text};
+use hive_common::config::keys;
 use hive_common::{Result, Row, Schema, Value};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -256,7 +257,7 @@ pub fn load(session: &mut hive_core::HiveSession, sf: f64, seed: u64) -> Result<
 fn default_format(session: &hive_core::HiveSession) -> hive_formats::FormatKind {
     session
         .conf()
-        .get_raw("hive.default.fileformat")
+        .get_raw(keys::DEFAULT_FILEFORMAT)
         .and_then(|s| hive_formats::FormatKind::parse(s).ok())
         .unwrap_or(hive_formats::FormatKind::Orc)
 }

@@ -15,9 +15,11 @@
 //! newest *valid* manifest defines the snapshot; publishing a manifest via
 //! atomic rename is therefore the commit point of every transaction.
 
-use hive_common::{HiveError, Result};
+use crate::{ReadStats, TableReader};
+use hive_common::{HiveError, Result, Row};
 use hive_dfs::{crc, Dfs};
-use std::collections::BTreeSet;
+use hive_vector::VectorizedRowBatch;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 /// Basename prefix of snapshot manifests: `_manifest_<version>`.
@@ -259,40 +261,36 @@ pub fn decode_delete_file(bytes: &[u8]) -> Result<Vec<DeleteKey>> {
 }
 
 /// The union of a snapshot's delete files: which `(path, ordinal)` rows
-/// the merge-on-read scan must mask.
+/// the merge-on-read scan must mask. Keyed by file, so a reader looks up
+/// its own file's ordinals once, at open.
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct DeleteSet {
-    keys: BTreeSet<DeleteKey>,
+    files: BTreeMap<String, Arc<BTreeSet<u64>>>,
 }
 
 impl DeleteSet {
     pub fn insert(&mut self, path: String, ordinal: u64) {
-        self.keys.insert((path, ordinal));
+        Arc::make_mut(self.files.entry(path).or_default()).insert(ordinal);
     }
 
-    pub fn contains(&self, path: &str, ordinal: u64) -> bool {
-        self.keys.contains(&(path.to_string(), ordinal))
-    }
-
-    /// Deleted ordinals of `path` inside `[start, start + len)`, ascending.
-    /// One ranged probe per batch run keeps selected[]-level masking
-    /// O(log n + hits) instead of O(batch size) point lookups.
-    pub fn masked_in(&self, path: &str, start: u64, len: u64) -> impl Iterator<Item = u64> + '_ {
-        let lo = (path.to_string(), start);
-        let hi = (path.to_string(), start.saturating_add(len));
-        self.keys.range(lo..hi).map(|(_, ord)| *ord)
+    /// The deleted ordinals of one file (empty when it has none).
+    pub fn ordinals_of(&self, path: &str) -> Arc<BTreeSet<u64>> {
+        self.files.get(path).cloned().unwrap_or_default()
     }
 
     pub fn len(&self) -> usize {
-        self.keys.len()
+        self.files.values().map(|o| o.len()).sum()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.keys.is_empty()
+        self.files.is_empty()
     }
 
-    pub fn iter(&self) -> impl Iterator<Item = &DeleteKey> {
-        self.keys.iter()
+    /// Every key as `(path, ordinal)`, ascending by path then ordinal.
+    pub fn iter(&self) -> impl Iterator<Item = (&str, u64)> {
+        self.files
+            .iter()
+            .flat_map(|(p, o)| o.iter().map(move |&ord| (p.as_str(), ord)))
     }
 }
 
@@ -306,6 +304,99 @@ pub fn load_delete_set(dfs: &Dfs, snapshot: &TableSnapshot) -> Result<DeleteSet>
         }
     }
     Ok(set)
+}
+
+/// A reader with one file's delete mask applied — what
+/// [`crate::open_reader`] returns when [`crate::ReadOptions::deletes`] is
+/// set. Masked rows are skipped by `next_row` and unselected from the
+/// `selected[]` lane by `next_batch`, so no caller ever sees them; the
+/// count is reported by [`TableReader::rows_masked`].
+///
+/// Ordinals come from the inner reader's skip-aware clock when it keeps
+/// one (ORC); otherwise rows are counted sequentially, which is correct
+/// only for whole-file scans — the split planner reads such files whole
+/// under an overlay.
+pub(crate) struct MaskedReader {
+    inner: Box<dyn TableReader>,
+    deleted: Arc<BTreeSet<u64>>,
+    next_ordinal: u64,
+    last_ordinal: Option<u64>,
+    masked: u64,
+}
+
+impl MaskedReader {
+    pub(crate) fn new(inner: Box<dyn TableReader>, deleted: Arc<BTreeSet<u64>>) -> MaskedReader {
+        MaskedReader {
+            inner,
+            deleted,
+            next_ordinal: 0,
+            last_ordinal: None,
+            masked: 0,
+        }
+    }
+}
+
+impl TableReader for MaskedReader {
+    fn next_row(&mut self) -> Result<Option<Row>> {
+        while let Some(row) = self.inner.next_row()? {
+            let ord = self.inner.last_row_ordinal().unwrap_or(self.next_ordinal);
+            self.next_ordinal += 1;
+            if self.deleted.contains(&ord) {
+                self.masked += 1;
+                continue;
+            }
+            self.last_ordinal = Some(ord);
+            return Ok(Some(row));
+        }
+        Ok(None)
+    }
+
+    fn next_batch(&mut self, batch: &mut VectorizedRowBatch) -> Result<bool> {
+        let more = self.inner.next_batch(batch)?;
+        let physical = batch.size as u64;
+        let sequential = [(self.next_ordinal, physical)];
+        self.next_ordinal += physical;
+        if physical == 0 || self.deleted.is_empty() {
+            return Ok(more);
+        }
+        let runs = self.inner.batch_ordinal_runs().unwrap_or(&sequential);
+        debug_assert_eq!(
+            runs.iter().map(|r| r.1).sum::<u64>(),
+            physical,
+            "ordinal runs must cover the whole batch"
+        );
+        // One ranged probe per run: O(log n + hits), not one per lane.
+        let mut drop = Vec::new();
+        let mut lane = 0usize;
+        for &(start, len) in runs {
+            drop.extend(
+                self.deleted
+                    .range(start..start.saturating_add(len))
+                    .map(|ord| lane + (ord - start) as usize),
+            );
+            lane += len as usize;
+        }
+        self.masked += drop.len() as u64;
+        batch.unselect_rows(&drop);
+        Ok(more)
+    }
+
+    /// Always known: the inner reader's ordinal or the sequential count.
+    fn last_row_ordinal(&self) -> Option<u64> {
+        self.last_ordinal
+    }
+
+    fn rows_skipped(&self) -> u64 {
+        self.inner.rows_skipped()
+    }
+
+    fn rows_masked(&self) -> u64 {
+        self.masked
+    }
+
+    fn read_stats(&self) -> ReadStats {
+        self.inner.read_stats()
+    }
 }
 
 /// The merge-on-read overlay a planner attaches to an ACID table's scan:
@@ -425,8 +516,13 @@ mod tests {
         s.deletes = vec![(6, "/w/t/delete_6".into())];
         let set = load_delete_set(&dfs, &s).unwrap();
         assert_eq!(set.len(), 2);
-        assert!(set.contains("/w/t/part-00000", 4));
-        assert!(!set.contains("/w/t/part-00000", 5));
+        assert!(set.ordinals_of("/w/t/part-00000").contains(&4));
+        assert!(!set.ordinals_of("/w/t/part-00000").contains(&5));
+        assert!(set.ordinals_of("/w/t/delta_7").is_empty());
+        assert_eq!(
+            set.iter().collect::<Vec<_>>(),
+            vec![("/w/t/delta_5", 0), ("/w/t/part-00000", 4)]
+        );
     }
 
     #[test]

@@ -2,6 +2,7 @@
 //! driven by session configuration — the role Hive's `FileFormat` +
 //! `SerDe` registry plays.
 
+use crate::delta::{DeleteSet, MaskedReader};
 use crate::orc::memory::MemoryManager;
 use crate::orc::reader::{OrcReadOptions, OrcReader};
 use crate::orc::writer::{OrcWriter, OrcWriterOptions};
@@ -13,6 +14,7 @@ use hive_codec::block::Compression;
 use hive_common::config::keys;
 use hive_common::{HiveConf, HiveError, Result, Schema};
 use hive_dfs::{Dfs, NodeId};
+use std::sync::Arc;
 
 /// The storage format of a table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -71,6 +73,9 @@ pub struct ReadOptions {
     pub split: Option<(u64, u64)>,
     /// Sorted copy of the file to read (ORC only; `0` = base file).
     pub variant: usize,
+    /// ACID delete set: rows of this file it names are masked out of the
+    /// reader's output (see [`MaskedReader`]).
+    pub deletes: Option<Arc<DeleteSet>>,
 }
 
 /// Create a writer for one file of a table.
@@ -171,7 +176,7 @@ pub fn open_reader(
     conf: &HiveConf,
     opts: &ReadOptions,
 ) -> Result<Box<dyn TableReader>> {
-    Ok(match opts.format {
+    let reader: Box<dyn TableReader> = match opts.format {
         FormatKind::Text => {
             let (start, end) = opts.split.unwrap_or((0, dfs.len(path)?));
             Box::new(TextReader::open_split(
@@ -215,6 +220,10 @@ pub fn open_reader(
                 variant: opts.variant,
             },
         )?),
+    };
+    Ok(match &opts.deletes {
+        Some(deletes) => Box::new(MaskedReader::new(reader, deletes.ordinals_of(path))),
+        None => reader,
     })
 }
 

@@ -106,8 +106,9 @@ pub trait TableReader {
     /// advance the ordinal, so it always addresses the row's true position
     /// in the file. ACID delete keys are `(file, ordinal)`, so merge-on-read
     /// uses this to mask deleted rows even when data skipping is active.
-    /// `None` means the format does not track ordinals; callers must fall
-    /// back to sequential counting (correct only for whole-file scans).
+    /// `None` means the format does not track ordinals; the delete mask
+    /// then counts rows sequentially (correct only for whole-file scans).
+    /// A reader opened with [`ReadOptions::deletes`] always reports one.
     fn last_row_ordinal(&self) -> Option<u64> {
         None
     }
@@ -124,6 +125,12 @@ pub trait TableReader {
     /// (`hive.exec.orc.skip.corrupt.data`). Formats without salvage
     /// support never skip anything.
     fn rows_skipped(&self) -> u64 {
+        0
+    }
+
+    /// Rows hidden by the ACID delete mask ([`ReadOptions::deletes`]).
+    /// Readers opened without a delete set never mask anything.
+    fn rows_masked(&self) -> u64 {
         0
     }
 

@@ -878,6 +878,7 @@ impl MrEngine {
             node: Some(node),
             split: Some((split.start, split.end)),
             variant: split.variant,
+            deletes: split.input.overlay.as_ref().map(|o| Arc::clone(&o.deletes)),
         };
         let mut reader = open_reader(
             &self.dfs,
@@ -894,7 +895,6 @@ impl MrEngine {
         let mut rows_processed = 0u64;
         let mut batches_read = 0u64;
         let mut delta_rows_read = 0u64;
-        let mut rows_masked = 0u64;
         {
             let graph = &mut pipeline.graph;
             let mut on_shuffle = |rec: ShuffleRecord| {
@@ -910,73 +910,41 @@ impl MrEngine {
             };
             let mut on_output = |row: Row| task_out.push(row);
 
-            let overlay = split.input.overlay.as_ref();
-            let in_delta = overlay.is_some_and(|o| o.is_delta(&split.path));
+            let in_delta = split
+                .input
+                .overlay
+                .as_ref()
+                .is_some_and(|o| o.is_delta(&split.path));
             match pipeline.vector.get(&split.input.alias) {
                 Some(stage) => {
                     // Batch-native scan path (paper Section 6.5): reader
                     // batches go straight into the operator graph as shared
                     // `Batch` messages — no row materialization. A fresh
                     // batch per iteration keeps the Arc unshared, so the
-                    // first operator's copy-on-write is a no-op.
-                    //
-                    // ACID merge-on-read stays batch-native too: deleted
-                    // ordinals are unselected before the batch enters the
-                    // graph, so masked rows are never materialized and all
-                    // counters see logical (post-mask) rows — identical to
-                    // row mode.
-                    let mut seq_ord = 0u64;
+                    // first operator's copy-on-write is a no-op. Under an
+                    // ACID overlay the reader has already unselected deleted
+                    // rows; a batch the mask emptied still counts as read.
                     loop {
                         let mut batch =
                             VectorizedRowBatch::new(&stage.batch_types, stage.batch_size)?;
                         let more = reader.next_batch(&mut batch)?;
-                        if batch.size > 0 {
+                        if batch.size > 0 || batch.selected_in_use {
                             batches_read += 1;
-                            if let Some(o) = overlay {
-                                // Physical ordinal runs of this batch: the
-                                // reader's skip-aware runs when it tracks
-                                // them (ORC), else sequential counting
-                                // (whole-file scans of other formats).
-                                let runs: Vec<(u64, u64)> = match reader.batch_ordinal_runs() {
-                                    Some(r) => r.to_vec(),
-                                    None => vec![(seq_ord, batch.size as u64)],
-                                };
-                                debug_assert_eq!(
-                                    runs.iter().map(|r| r.1).sum::<u64>(),
-                                    batch.size as u64,
-                                    "ordinal runs must cover the whole batch"
-                                );
-                                seq_ord += batch.size as u64;
-                                let mut drop: Vec<usize> = Vec::new();
-                                let mut base = 0usize;
-                                for (start, len) in runs {
-                                    drop.extend(
-                                        o.deletes
-                                            .masked_in(&split.path, start, len)
-                                            .map(|ord| base + (ord - start) as usize),
-                                    );
-                                    base += len as usize;
-                                }
-                                if !drop.is_empty() {
-                                    rows_masked += drop.len() as u64;
-                                    batch.unselect_rows(&drop);
-                                }
+                        }
+                        if batch.size > 0 {
+                            rows_processed += batch.size as u64;
+                            if in_delta {
+                                delta_rows_read += batch.size as u64;
                             }
-                            if batch.size > 0 {
-                                rows_processed += batch.size as u64;
-                                if in_delta {
-                                    delta_rows_read += batch.size as u64;
-                                }
-                                graph.push(
-                                    stage.root,
-                                    Message::Batch {
-                                        batch: Arc::new(batch),
-                                        tag: 0,
-                                    },
-                                    &mut on_shuffle,
-                                    &mut on_output,
-                                )?;
-                            }
+                            graph.push(
+                                stage.root,
+                                Message::Batch {
+                                    batch: Arc::new(batch),
+                                    tag: 0,
+                                },
+                                &mut on_shuffle,
+                                &mut on_output,
+                            )?;
                         }
                         if !more {
                             break;
@@ -990,22 +958,7 @@ impl MrEngine {
                             split.input.alias
                         ))
                     })?;
-                    // ACID merge-on-read: ordinals address *physical* rows
-                    // of the file (masked ones included) so they line up
-                    // with the delete keys. Readers that skip data report
-                    // true ordinals; sequential counting covers the rest
-                    // (those formats are scanned whole-file under an
-                    // overlay). Masked rows never enter the graph.
-                    let mut seq_ord = 0u64;
                     while let Some(row) = reader.next_row()? {
-                        if let Some(o) = overlay {
-                            let ord = reader.last_row_ordinal().unwrap_or(seq_ord);
-                            seq_ord += 1;
-                            if o.deletes.contains(&split.path, ord) {
-                                rows_masked += 1;
-                                continue;
-                            }
-                        }
                         rows_processed += 1;
                         if in_delta {
                             delta_rows_read += 1;
@@ -1066,7 +1019,7 @@ impl MrEngine {
             groups_bloom_pruned: read_stats.groups_bloom_pruned,
             bloom_corrupt: read_stats.bloom_corrupt,
             delta_rows_read,
-            rows_masked,
+            rows_masked: reader.rows_masked(),
             ..Default::default()
         };
         // Vectorized operators are ordinary graph nodes now, so one profile

@@ -20,7 +20,7 @@ pub struct JobInput {
     /// Predicates pushed down to the reader (ORC PPD).
     pub sarg: Option<SearchArgument>,
     /// ACID merge-on-read overlay. When present, masked rows never reach
-    /// the map graph: the engine drops them by skip-aware file ordinal —
+    /// the map graph: the reader drops them by skip-aware file ordinal —
     /// reader-reported for formats with data skipping (ORC keeps its
     /// block-range splits and PPD), sequential for formats scanned
     /// whole-file (one split per file).

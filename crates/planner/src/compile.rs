@@ -274,7 +274,6 @@ pub fn compile(t: &Translation, conf: &HiveConf) -> Result<CompiledQuery> {
         let vectorize_select = conf.get_bool(keys::VECTORIZED_SELECT_ENABLED)?;
         let vectorize_groupby = conf.get_bool(keys::VECTORIZED_GROUPBY_ENABLED)?;
         let vectorize_reducesink = conf.get_bool(keys::VECTORIZED_REDUCESINK_ENABLED)?;
-        let vectorize_acid = conf.get_bool(keys::VECTORIZED_ACID_ENABLED)?;
         let batch_size = conf.get_usize(keys::VECTORIZED_BATCH_SIZE)?;
         let mut job_inputs = Vec::new();
         for mi in &map_inputs {
@@ -337,7 +336,6 @@ pub fn compile(t: &Translation, conf: &HiveConf) -> Result<CompiledQuery> {
             vectorize_select,
             vectorize_groupby,
             vectorize_reducesink,
-            vectorize_acid,
             batch_size,
         });
         let map_factory: MapPipelineFactory = {
@@ -732,7 +730,6 @@ struct MapBuildSpec {
     vectorize_select: bool,
     vectorize_groupby: bool,
     vectorize_reducesink: bool,
-    vectorize_acid: bool,
     batch_size: usize,
 }
 
@@ -745,18 +742,10 @@ impl MapBuildSpec {
             // Vectorization applies to single-sink table-scan chains.
             let mut remaining: Vec<usize> = mi.nodes.clone();
             let mut chain: Option<vectorize::VectorizedChain> = None;
-            // ACID scans vectorize like any other (gated by the acid
-            // knob): the engine unselects deleted ordinals from each batch
-            // before it enters the pipeline, so the mask survives the
-            // batch-native path.
-            let acid_scan = mi.scan.is_some_and(|s| {
-                matches!(&self.nodes[s].op, PlanOp::TableScan { table, .. } if table.acid.is_some())
-            });
-            if self.vectorize
-                && mi.scan.is_some()
-                && (!acid_scan || self.vectorize_acid)
-                && mi.rs_tags.len() <= 1
-            {
+            // ACID scans vectorize like any other: the reader unselects
+            // deleted ordinals from each batch before it enters the
+            // pipeline, so the mask survives the batch-native path.
+            if self.vectorize && mi.scan.is_some() && mi.rs_tags.len() <= 1 {
                 let view = vectorize::MapInputView {
                     scan: mi.scan,
                     nodes: &mi.nodes,

@@ -1,7 +1,6 @@
 #![allow(
     clippy::needless_range_loop,
     clippy::if_same_then_else,
-    clippy::only_used_in_recursion,
     clippy::ptr_arg
 )]
 //! The query planner (paper Sections 2, 5 and 6.4).
@@ -34,7 +33,7 @@ pub mod vectorize;
 pub use catalog::{Catalog, TableMeta};
 pub use compile::{compile, CompiledQuery};
 pub use plan::{AggCall, PlanGraph, PlanNode, PlanOp};
-pub use semantic::{translate, Translation};
+pub use semantic::{resolve_scalar, translate, Translation};
 
 use hive_common::{HiveConf, Result};
 use hive_ql::SelectStmt;

@@ -10,7 +10,7 @@ use crate::plan::{
     agg_output_type, expr_type, AggCall, ColumnInfo, GroupByPhase, PlanGraph, PlanOp,
 };
 use hive_common::config::keys;
-use hive_common::{DataType, HiveConf, HiveError, Result, Value};
+use hive_common::{DataType, HiveConf, HiveError, Result, Schema, Value};
 use hive_exec::agg::{parse_agg_function, AggFunction};
 use hive_exec::expr::{BinaryOp, ExprNode, UnaryOp};
 use hive_exec::operators::JoinType;
@@ -228,7 +228,7 @@ fn plan_select(
         acc = add_reduce_join(g, acc, right, &equi, kind, num_reducers)?;
         let mergeable = kind != JoinType::Inner && residual.is_empty();
         for r in residual {
-            let pred = resolve_owned(r, &acc)?;
+            let pred = resolve(r, &acc)?;
             let schema = acc.schema();
             let f = g.add(PlanOp::Filter { predicate: pred }, schema, vec![acc.node]);
             acc.node = f;
@@ -289,7 +289,7 @@ fn plan_select(
     let mut final_rel = final_rel;
     if let Some(h) = &stmt.having {
         let pred = match &group_subst {
-            Some(s) => resolve_with_groups(h, s, &final_rel)?,
+            Some(s) => resolve_with_groups(h, s)?,
             None => resolve(h, &final_rel)?,
         };
         let schema = final_rel.schema();
@@ -315,7 +315,7 @@ fn plan_select(
             continue;
         }
         let e = match &group_subst {
-            Some(s) => resolve_with_groups(&p.expr, s, &final_rel)?,
+            Some(s) => resolve_with_groups(&p.expr, s)?,
             None => resolve(&p.expr, &final_rel)?,
         };
         let t = expr_type(&e, &final_rel.schema())?;
@@ -548,22 +548,28 @@ fn plan_table_ref(
     }
 }
 
-/// Resolve an AST expression against a relation.
-fn resolve(e: &Expr, rel: &Rel) -> Result<ExprNode> {
+/// The one `Expr` → `ExprNode` walker. `hook` sees every sub-expression
+/// first: `Some(node)` replaces it (a column, an aggregate call, a group
+/// expression), `None` lets the walker recurse structurally. A column,
+/// function call or `*` the hook leaves alone is an error.
+fn walk(e: &Expr, hook: &dyn Fn(&Expr) -> Result<Option<ExprNode>>) -> Result<ExprNode> {
+    if let Some(node) = hook(e)? {
+        return Ok(node);
+    }
+    let sub = |x: &Expr| walk(x, hook).map(Box::new);
     Ok(match e {
-        Expr::Column { table, name } => ExprNode::Column(rel.lookup(table.as_deref(), name)?),
         Expr::Literal(v) => ExprNode::Literal(v.clone()),
         Expr::Binary { op, left, right } => ExprNode::Binary {
             op: convert_binop(*op),
-            left: Box::new(resolve(left, rel)?),
-            right: Box::new(resolve(right, rel)?),
+            left: sub(left)?,
+            right: sub(right)?,
         },
         Expr::Unary { op, expr } => ExprNode::Unary {
             op: match op {
                 UnOp::Neg => UnaryOp::Neg,
                 UnOp::Not => UnaryOp::Not,
             },
-            expr: Box::new(resolve(expr, rel)?),
+            expr: sub(expr)?,
         },
         Expr::Between {
             expr,
@@ -571,13 +577,13 @@ fn resolve(e: &Expr, rel: &Rel) -> Result<ExprNode> {
             hi,
             negated,
         } => ExprNode::Between {
-            expr: Box::new(resolve(expr, rel)?),
-            lo: Box::new(resolve(lo, rel)?),
-            hi: Box::new(resolve(hi, rel)?),
+            expr: sub(expr)?,
+            lo: sub(lo)?,
+            hi: sub(hi)?,
             negated: *negated,
         },
         Expr::IsNull { expr, negated } => ExprNode::IsNull {
-            expr: Box::new(resolve(expr, rel)?),
+            expr: sub(expr)?,
             negated: *negated,
         },
         Expr::InList {
@@ -585,15 +591,12 @@ fn resolve(e: &Expr, rel: &Rel) -> Result<ExprNode> {
             list,
             negated,
         } => ExprNode::InList {
-            expr: Box::new(resolve(expr, rel)?),
-            list: list
-                .iter()
-                .map(|l| resolve(l, rel))
-                .collect::<Result<_>>()?,
+            expr: sub(expr)?,
+            list: list.iter().map(|l| walk(l, hook)).collect::<Result<_>>()?,
             negated: *negated,
         },
         Expr::Cast { expr, target } => ExprNode::Cast {
-            expr: Box::new(resolve(expr, rel)?),
+            expr: sub(expr)?,
             target: target.clone(),
         },
         Expr::Case {
@@ -602,13 +605,15 @@ fn resolve(e: &Expr, rel: &Rel) -> Result<ExprNode> {
         } => ExprNode::Case {
             branches: branches
                 .iter()
-                .map(|(c, v)| Ok((resolve(c, rel)?, resolve(v, rel)?)))
+                .map(|(c, v)| Ok((walk(c, hook)?, walk(v, hook)?)))
                 .collect::<Result<_>>()?,
-            else_value: match else_value {
-                Some(e) => Some(Box::new(resolve(e, rel)?)),
-                None => None,
-            },
+            else_value: else_value.as_deref().map(sub).transpose()?,
         },
+        Expr::Column { .. } => {
+            return Err(HiveError::Semantic(format!(
+                "column {e:?} cannot be resolved here"
+            )))
+        }
         Expr::Function { name, .. } => {
             return Err(HiveError::Semantic(format!(
                 "function `{name}` is not valid here (aggregates need GROUP BY context; \
@@ -619,8 +624,24 @@ fn resolve(e: &Expr, rel: &Rel) -> Result<ExprNode> {
     })
 }
 
-fn resolve_owned(e: &Expr, rel: &Rel) -> Result<ExprNode> {
-    resolve(e, rel)
+/// Resolve an AST expression against a relation.
+fn resolve(e: &Expr, rel: &Rel) -> Result<ExprNode> {
+    walk(e, &|e| match e {
+        Expr::Column { table, name } => {
+            Ok(Some(ExprNode::Column(rel.lookup(table.as_deref(), name)?)))
+        }
+        _ => Ok(None),
+    })
+}
+
+/// Resolve a scalar expression against a table schema: DML predicates,
+/// UPDATE SET expressions and INSERT literals. Column qualifiers are
+/// ignored; aggregates, `*` and unknown columns are errors.
+pub fn resolve_scalar(e: &Expr, schema: &Schema) -> Result<ExprNode> {
+    walk(e, &|e| match e {
+        Expr::Column { name, .. } => Ok(Some(ExprNode::Column(schema.index_of(name)?))),
+        _ => Ok(None),
+    })
 }
 
 fn convert_binop(op: BinOp) -> BinaryOp {
@@ -1113,110 +1134,43 @@ fn add_aggregation(
 /// Resolve an expression over the aggregation output: group expressions and
 /// aggregate calls become column references; anything else must be composed
 /// of them.
-fn resolve_with_groups(e: &Expr, subst: &GroupSubst, out_rel: &Rel) -> Result<ExprNode> {
-    // An aggregate call?
-    if let Expr::Function { name, args, .. } = e {
-        let star = matches!(args.first(), Some(Expr::Star));
-        if let Some(f) = parse_agg_function(name, star) {
-            let arg = if star || args.is_empty() {
-                None
-            } else {
-                Some(resolve(&args[0], &subst.input_rel)?)
-            };
-            for (af, aarg, idx) in &subst.aggs {
-                if *af == f && *aarg == arg {
-                    return Ok(ExprNode::col(*idx));
-                }
-            }
-            return Err(HiveError::Semantic(format!(
-                "aggregate `{name}` was not collected during planning"
-            )));
-        }
-    }
-    // A group expression (structurally, after resolution)?
-    if let Ok(resolved) = resolve(e, &subst.input_rel) {
-        for (ge, idx) in &subst.groups {
-            if *ge == resolved {
-                return Ok(ExprNode::col(*idx));
+fn resolve_with_groups(e: &Expr, subst: &GroupSubst) -> Result<ExprNode> {
+    walk(e, &|e| {
+        // An aggregate call?
+        if let Expr::Function { name, args, .. } = e {
+            let star = matches!(args.first(), Some(Expr::Star));
+            if let Some(f) = parse_agg_function(name, star) {
+                let arg = if star || args.is_empty() {
+                    None
+                } else {
+                    Some(resolve(&args[0], &subst.input_rel)?)
+                };
+                return match subst
+                    .aggs
+                    .iter()
+                    .find(|(af, aarg, _)| *af == f && *aarg == arg)
+                {
+                    Some((_, _, idx)) => Ok(Some(ExprNode::col(*idx))),
+                    None => Err(HiveError::Semantic(format!(
+                        "aggregate `{name}` was not collected during planning"
+                    ))),
+                };
             }
         }
-        // A bare column that is not grouped is an error; composite
-        // expressions may still decompose below.
-        if matches!(e, Expr::Column { .. }) {
-            return Err(HiveError::Semantic(format!(
-                "column {e:?} is neither grouped nor aggregated"
-            )));
+        // A group expression (structurally, after resolution)?
+        if let Ok(resolved) = resolve(e, &subst.input_rel) {
+            if let Some((_, idx)) = subst.groups.iter().find(|(ge, _)| *ge == resolved) {
+                return Ok(Some(ExprNode::col(*idx)));
+            }
+            // A bare column that is not grouped is an error; composite
+            // expressions may still decompose below.
+            if matches!(e, Expr::Column { .. }) {
+                return Err(HiveError::Semantic(format!(
+                    "column {e:?} is neither grouped nor aggregated"
+                )));
+            }
         }
-    }
-    // Recurse structurally.
-    Ok(match e {
-        Expr::Literal(v) => ExprNode::Literal(v.clone()),
-        Expr::Binary { op, left, right } => ExprNode::Binary {
-            op: convert_binop(*op),
-            left: Box::new(resolve_with_groups(left, subst, out_rel)?),
-            right: Box::new(resolve_with_groups(right, subst, out_rel)?),
-        },
-        Expr::Unary { op, expr } => ExprNode::Unary {
-            op: match op {
-                UnOp::Neg => UnaryOp::Neg,
-                UnOp::Not => UnaryOp::Not,
-            },
-            expr: Box::new(resolve_with_groups(expr, subst, out_rel)?),
-        },
-        Expr::Between {
-            expr,
-            lo,
-            hi,
-            negated,
-        } => ExprNode::Between {
-            expr: Box::new(resolve_with_groups(expr, subst, out_rel)?),
-            lo: Box::new(resolve_with_groups(lo, subst, out_rel)?),
-            hi: Box::new(resolve_with_groups(hi, subst, out_rel)?),
-            negated: *negated,
-        },
-        Expr::IsNull { expr, negated } => ExprNode::IsNull {
-            expr: Box::new(resolve_with_groups(expr, subst, out_rel)?),
-            negated: *negated,
-        },
-        Expr::InList {
-            expr,
-            list,
-            negated,
-        } => ExprNode::InList {
-            expr: Box::new(resolve_with_groups(expr, subst, out_rel)?),
-            list: list
-                .iter()
-                .map(|l| resolve_with_groups(l, subst, out_rel))
-                .collect::<Result<_>>()?,
-            negated: *negated,
-        },
-        Expr::Cast { expr, target } => ExprNode::Cast {
-            expr: Box::new(resolve_with_groups(expr, subst, out_rel)?),
-            target: target.clone(),
-        },
-        Expr::Case {
-            branches,
-            else_value,
-        } => ExprNode::Case {
-            branches: branches
-                .iter()
-                .map(|(c, v)| {
-                    Ok((
-                        resolve_with_groups(c, subst, out_rel)?,
-                        resolve_with_groups(v, subst, out_rel)?,
-                    ))
-                })
-                .collect::<Result<_>>()?,
-            else_value: match else_value {
-                Some(x) => Some(Box::new(resolve_with_groups(x, subst, out_rel)?)),
-                None => None,
-            },
-        },
-        other => {
-            return Err(HiveError::Semantic(format!(
-                "cannot resolve {other:?} over the aggregation output"
-            )))
-        }
+        Ok(None)
     })
 }
 
@@ -1284,7 +1238,7 @@ fn resolve_order_item(
     }
     // By matching the projected expression.
     let resolved = match subst {
-        Some(s) => resolve_with_groups(e, s, final_rel)?,
+        Some(s) => resolve_with_groups(e, s)?,
         None => resolve(e, final_rel)?,
     };
     if let Some(i) = out_exprs.iter().position(|x| *x == resolved) {
@@ -1293,4 +1247,37 @@ fn resolve_order_item(
     Err(HiveError::Semantic(format!(
         "ORDER BY expression {e:?} is not in the select list"
     )))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use hive_common::Row;
+
+    #[test]
+    fn dml_expressions_resolve_against_the_schema() {
+        let schema = Schema::parse(&[("k", "bigint"), ("v", "string")]).unwrap();
+        let e = Expr::Binary {
+            op: BinOp::Eq,
+            left: Box::new(Expr::col("k")),
+            right: Box::new(Expr::Literal(Value::Int(3))),
+        };
+        let node = resolve_scalar(&e, &schema).unwrap();
+        assert!(node
+            .eval_predicate(&Row::new(vec![Value::Int(3), Value::String("x".into())]))
+            .unwrap());
+        assert!(!node
+            .eval_predicate(&Row::new(vec![Value::Int(4), Value::String("x".into())]))
+            .unwrap());
+        // Aggregates are meaningless against a single row.
+        let agg = Expr::Function {
+            name: "sum".into(),
+            args: vec![Expr::col("k")],
+            distinct: false,
+        };
+        assert!(resolve_scalar(&agg, &schema).is_err());
+        assert!(resolve_scalar(&Expr::Star, &schema).is_err());
+        // Unknown columns are a plan error, not a panic.
+        assert!(resolve_scalar(&Expr::col("nope"), &schema).is_err());
+    }
 }

@@ -220,7 +220,7 @@ fn explain_analyze_acid_scan_goldens() {
     assert!(vec_text.contains("Vector"), "{vec_text}");
     assert!(!vec_text.contains("RowBridge"), "{vec_text}");
     let row_text = analyze_acid_text(SQL, |hive| {
-        hive.try_set("hive.vectorized.execution.acid.enabled", "false")
+        hive.try_set("hive.vectorized.execution.enabled", "false")
             .unwrap();
     });
     assert!(
@@ -733,6 +733,22 @@ fn unknown_knob_errors_carry_suggestions() {
         other => panic!("expected UnknownKnob, got {other}"),
     }
     assert!(err.to_string().contains("did you mean"), "{err}");
+    // Deleted knobs are unknown, not silently accepted.
+    for key in [
+        "hive.vectorized.execution.acid.enabled",
+        "dfs.block.size",
+        "dfs.replication",
+        "mapreduce.cluster.nodes",
+        "mapreduce.cluster.slots.per.node",
+    ] {
+        assert!(
+            matches!(
+                hive.try_set(key, "1").map(|_| ()),
+                Err(HiveError::UnknownKnob { .. })
+            ),
+            "{key}"
+        );
+    }
 }
 
 #[test]

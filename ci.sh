@@ -23,6 +23,23 @@ for name in $(grep -oE '^    [A-Z][A-Z0-9_]*: [A-Za-z0-9]+ = "' crates/common/sr
 done
 [[ $dead_knobs == 0 ]]
 
+# Doc-knob gate: every `hive.*` / `dfs.*` / `mapred.*` / `mapreduce.*` key
+# that README.md or DESIGN.md names in backticks (alone, or as `key=value`
+# or `SET key=...`) must be registered in config.rs, so docs cannot keep
+# describing a deleted knob.
+echo "==> doc-knob gate"
+registered=$(grep -oE '^    [A-Z][A-Z0-9_]*: [A-Za-z0-9]+ = "[^"]+"' crates/common/src/config.rs | sed -E 's/.*= "([^"]+)"$/\1/')
+doc_knobs=0
+for key in $(grep -ohE '`[^`]+`' README.md DESIGN.md \
+    | grep -oE '[` ](hive|dfs|mapred|mapreduce)(\.[a-z0-9_]+)+[`= ;]' \
+    | sed -E 's/^.//; s/.$//' | sort -u); do
+    if ! grep -qxF -e "$key" <<<"$registered"; then
+        echo "doc knob: $key is named in README.md or DESIGN.md but not registered in crates/common/src/config.rs"
+        doc_knobs=1
+    fi
+done
+[[ $doc_knobs == 0 ]]
+
 echo "==> cargo test"
 cargo test -q --workspace --offline
 

@@ -1,8 +1,10 @@
 //! Session configuration: the `hive.*` / `dfs.*` knobs that gate each
 //! advancement, mirroring `HiveConf` in Hive.
 //!
-//! Every optimization described in the paper is individually switchable so
-//! the benchmark harness can reproduce each figure's on/off comparisons.
+//! The paper's on/off comparisons keep their knobs (PPD, the correlation
+//! optimizer, map-join conversion, vectorization), so the benchmark
+//! harness can reproduce each figure. Switches that only staged the
+//! rollout of a path that is now the default are deleted.
 //!
 //! The surface is a *typed knob registry*: each property is declared once
 //! in the [`knobs!`](macro@crate::config) block below as a [`Knob<T>`]
@@ -281,19 +283,6 @@ knobs! {
     /// probe it a batch at a time (inner + binary left-outer; other shapes
     /// keep the row-mode fallback). Requires vectorized execution.
     VECTORIZED_MAPJOIN_ENABLED: bool = "hive.vectorized.execution.mapjoin.enabled", "true";
-    /// Per-operator vectorization gates. Turning one off breaks the batch
-    /// chain at that operator: upstream stays vectorized, a single
-    /// RowBridge crosses to row mode, and everything downstream (including
-    /// otherwise-eligible operators) runs row-mode.
-    VECTORIZED_FILTER_ENABLED: bool = "hive.vectorized.execution.filter.enabled", "true";
-    /// Vectorize Select projections (see filter gate for chain semantics).
-    VECTORIZED_SELECT_ENABLED: bool = "hive.vectorized.execution.select.enabled", "true";
-    /// Vectorize map-side hash aggregation into the fused batch
-    /// aggregate-and-shuffle sink. Requires the reducesink gate.
-    VECTORIZED_GROUPBY_ENABLED: bool = "hive.vectorized.execution.groupby.enabled", "true";
-    /// Vectorize the shuffle boundary: serialize key/value pairs straight
-    /// from batches without materializing intermediate rows.
-    VECTORIZED_REDUCESINK_ENABLED: bool = "hive.vectorized.execution.reducesink.enabled", "true";
     /// Cost-based join reordering (the paper's Section 9 outlook).
     CBO_ENABLE: bool = "hive.cbo.enable", "false";
     /// Answer COUNT/MIN/MAX/SUM-only queries from ORC file statistics
@@ -386,14 +375,12 @@ knobs! {
     /// metadata cache — restoring uncached scan behavior exactly, without
     /// affecting concurrent statements.
     IO_CACHE_BYTES: u64 = "hive.io.cache.bytes", "33554432";
-    /// Cache decoded ORC file footers, stripe footers, and row-index
-    /// statistics across readers, keyed by `(path, file generation)` so an
-    /// overwritten file can never serve stale metadata. Effective only
-    /// while `hive.io.cache.bytes` is non-zero.
-    ORC_CACHE_METADATA: bool = "hive.orc.cache.metadata", "true";
     /// Workload-management resource plan: `;`-separated pools, each
-    /// `name:share=<slots>[,priority=<p>]` (priority defaults to 0; higher
-    /// preempts lower). Total server concurrency is the sum of shares.
+    /// `name:share=<slots>[,priority=<p>]` (priority defaults to 0). A
+    /// statement borrowing beyond its pool's share is preempted and re-run
+    /// from scratch when a higher-priority under-share pool has a waiter;
+    /// after 8 preemptions it is immune. Total server concurrency is the
+    /// sum of shares.
     /// Empty = one `default` pool whose share is
     /// `hive.server.max.concurrent.queries` — byte-identical to the flat
     /// admission semaphore this layer replaced.
@@ -405,15 +392,6 @@ knobs! {
     /// Tenant identity of a session; the workload manager's mapping rules
     /// match it to a resource pool.
     SESSION_USER: String = "hive.session.user", "";
-    /// Preempt a statement borrowing beyond its pool's share when a
-    /// statement of a higher-priority under-share pool is queued. The
-    /// victim stops at its next cancellation checkpoint, re-queues at the
-    /// front of its pool, and re-runs from scratch — it never returns
-    /// partial results. Only meaningful with a multi-pool resource plan.
-    SERVER_WM_PREEMPTION: bool = "hive.server.wm.preemption.enabled", "true";
-    /// Times one statement may be preempted before it becomes immune and
-    /// runs to completion (starvation bound for low-priority pools).
-    SERVER_WM_PREEMPTION_LIMIT: u64 = "hive.server.wm.preemption.limit", "8", range(1.0, 1000.0);
     /// Cache compiled query plans in the server, keyed on normalized SQL +
     /// a planning-knob fingerprint + the metastore and DFS generations, so
     /// repeat statement shapes skip parse/plan entirely. DDL and data
@@ -444,13 +422,9 @@ knobs! {
     /// Comma-separated column names: replica k+1 of each ORC file is
     /// written with its rows sorted on the k-th name (HAIL-style
     /// per-replica sort orders; replica 1 always keeps insertion order).
-    /// Empty = all replicas byte-identical.
+    /// Empty = all replicas byte-identical. Split planning reads the
+    /// replica whose sort column matches a pushed-down predicate column.
     ORC_REPLICA_SORT_COLUMNS: String = "hive.orc.replica.sort.columns", "";
-    /// Let split planning hand the pushed-down predicate to the DFS and
-    /// read the replica whose sort order best matches it, falling back to
-    /// locality. Inert unless files were written with
-    /// `hive.orc.replica.sort.columns`.
-    ORC_REPLICA_SELECTION: bool = "hive.orc.replica.selection.enabled", "true";
 }
 
 /// Look up a knob's type-erased registry entry by key.

@@ -76,7 +76,7 @@ impl HiveServer {
         // resolved once from the server defaults; sessions cannot resize
         // pools mid-flight (they *can* opt statements in and out of the
         // plan cache, which only gates participation).
-        let wm = WorkloadManager::new(ResourcePlan::from_conf(&defaults)?, &defaults)?;
+        let wm = WorkloadManager::new(ResourcePlan::from_conf(&defaults)?);
         let plan_cache = PlanCache::new(defaults.get_i64(keys::PLAN_CACHE_SIZE)? as usize);
         // The block cache's byte budget is process state, sized once here
         // from the server defaults. Per-session / per-query

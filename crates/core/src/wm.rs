@@ -6,10 +6,8 @@
 //! sessions onto them (`hive.server.wm.mapping`, first-match `user=pool`
 //! rules with a `*=pool` catch-all against `hive.session.user`). With no
 //! plan configured the manager degenerates to a single `default` pool
-//! whose share is `hive.server.max.concurrent.queries` — the legacy
-//! semaphore, except that admission is now *strictly FIFO* (the old
-//! `Condvar` semaphore let a fresh arrival barge past threads already
-//! waiting on the wakeup path).
+//! whose share is `hive.server.max.concurrent.queries`, admitting in
+//! strict FIFO order.
 //!
 //! ## Admission
 //!
@@ -35,8 +33,8 @@
 //! [`HiveError::Preempted`] at the next engine checkpoint, the server
 //! releases its slot and re-queues it *at the front* of its pool with its
 //! original ticket, and it re-runs from scratch (never partial results).
-//! A statement preempted `hive.server.wm.preemption.limit` times becomes
-//! immune and runs to completion.
+//! A statement preempted [`PREEMPTION_LIMIT`] times becomes immune and
+//! runs to completion; pools of equal priority never preempt each other.
 
 use hive_common::config::{keys, knobs};
 use hive_common::{CancelToken, HiveConf, HiveError, Result};
@@ -44,6 +42,10 @@ use std::collections::{HashSet, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
+
+/// Times one statement may be preempted before it becomes immune and runs
+/// to completion (the starvation bound for low-priority pools).
+pub const PREEMPTION_LIMIT: u64 = 8;
 
 /// One named pool of a resource plan.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -81,24 +83,23 @@ impl ResourcePlan {
                 priority: 0,
             }]
         } else {
-            let mut pools = Vec::new();
+            let mut pools: Vec<PoolSpec> = Vec::new();
             for entry in raw.split(';').filter(|e| !e.trim().is_empty()) {
-                pools.push(Self::parse_pool(entry.trim())?);
+                let pool = Self::parse_pool(entry.trim())?;
+                if pools.iter().any(|q| q.name == pool.name) {
+                    return Err(HiveError::Config(format!(
+                        "duplicate pool `{}` in `{}`",
+                        pool.name,
+                        keys::SERVER_WM_PLAN
+                    )));
+                }
+                pools.push(pool);
             }
             if pools.is_empty() {
                 return Err(HiveError::Config(format!(
                     "`{}` declares no pools: `{raw}`",
                     keys::SERVER_WM_PLAN
                 )));
-            }
-            for (i, p) in pools.iter().enumerate() {
-                if pools[..i].iter().any(|q| q.name == p.name) {
-                    return Err(HiveError::Config(format!(
-                        "duplicate pool `{}` in `{}`",
-                        p.name,
-                        keys::SERVER_WM_PLAN
-                    )));
-                }
             }
             pools
         };
@@ -207,7 +208,7 @@ struct Running {
     pool: usize,
     cancel: Arc<CancelToken>,
     /// Times this statement has already been preempted; at
-    /// `preemption_limit` it becomes immune.
+    /// [`PREEMPTION_LIMIT`] it becomes immune.
     preempt_count: u64,
 }
 
@@ -250,8 +251,6 @@ pub struct Requeue {
 /// The admission layer: resource pools, FIFO-fair queues, preemption.
 pub struct WorkloadManager {
     plan: ResourcePlan,
-    preemption_enabled: bool,
-    preemption_limit: u64,
     state: Mutex<WmState>,
     cv: Condvar,
     /// High-water mark of concurrently admitted statements.
@@ -265,11 +264,9 @@ pub struct WorkloadManager {
 }
 
 impl WorkloadManager {
-    pub fn new(plan: ResourcePlan, conf: &HiveConf) -> Result<WorkloadManager> {
+    pub fn new(plan: ResourcePlan) -> WorkloadManager {
         let n = plan.pools.len();
-        Ok(WorkloadManager {
-            preemption_enabled: conf.get_bool(keys::SERVER_WM_PREEMPTION)?,
-            preemption_limit: conf.get_i64(keys::SERVER_WM_PREEMPTION_LIMIT)?.max(1) as u64,
+        WorkloadManager {
             plan,
             state: Mutex::new(WmState {
                 queues: (0..n).map(|_| VecDeque::new()).collect(),
@@ -281,7 +278,7 @@ impl WorkloadManager {
             admitted: AtomicU64::new(0),
             preemptions: AtomicU64::new(0),
             requeues: AtomicU64::new(0),
-        })
+        }
     }
 
     pub fn plan(&self) -> &ResourcePlan {
@@ -302,19 +299,18 @@ impl WorkloadManager {
     /// queue with the original ticket.
     pub fn admit(&self, pool: usize, requeue: Option<Requeue>) -> AdmissionGrant {
         let mut st = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        let (ticket, preempt_count, front) = match requeue {
-            Some(r) => (r.ticket, r.preempt_count, true),
+        let (ticket, preempt_count) = match requeue {
+            Some(r) => {
+                st.queues[pool].push_front(r.ticket);
+                (r.ticket, r.preempt_count)
+            }
             None => {
                 let t = st.next_ticket;
                 st.next_ticket += 1;
-                (t, 0, false)
+                st.queues[pool].push_back(t);
+                (t, 0)
             }
         };
-        if front {
-            st.queues[pool].push_front(ticket);
-        } else {
-            st.queues[pool].push_back(ticket);
-        }
         if self.dispatch(&mut st) {
             self.cv.notify_all();
         }
@@ -408,14 +404,11 @@ impl WorkloadManager {
     /// one is warranted: all slots taken, and some strictly-lower-priority
     /// pool is running over its share. The victim is the most recently
     /// admitted statement of the lowest-priority over-share pool; immune
-    /// statements (preempted `preemption_limit` times already) and ones
+    /// statements (preempted [`PREEMPTION_LIMIT`] times already) and ones
     /// already cancelled are skipped, and cancellations still unwinding
     /// count against the pool's deficit so one waiter doesn't shoot a new
     /// victim on every spurious wakeup.
     fn maybe_preempt(&self, st: &mut WmState, pool: usize) {
-        if !self.preemption_enabled {
-            return;
-        }
         let spec = &self.plan.pools[pool];
         let deficit = spec.share as i64 - st.active[pool] as i64;
         if deficit <= 0 || st.total_active < self.plan.total_slots() {
@@ -436,7 +429,7 @@ impl WorkloadManager {
             .filter(|(_, r)| {
                 self.plan.pools[r.pool].priority < spec.priority
                     && st.active[r.pool] > self.plan.pools[r.pool].share
-                    && r.preempt_count < self.preemption_limit
+                    && r.preempt_count < PREEMPTION_LIMIT
                     && !r.cancel.is_cancelled()
             })
             // Lowest-priority pool; within it, the most recently admitted
@@ -494,21 +487,17 @@ mod tests {
     use std::thread;
     use std::time::Duration;
 
-    fn conf() -> HiveConf {
-        HiveConf::new()
-    }
-
     fn wm_with(plan: &str, mapping: &str, max: &str) -> WorkloadManager {
         let c = HiveConf::new()
             .with(keys::SERVER_WM_PLAN, plan)
             .with(keys::SERVER_WM_MAPPING, mapping)
             .with(keys::SERVER_MAX_CONCURRENT, max);
-        WorkloadManager::new(ResourcePlan::from_conf(&c).unwrap(), &c).unwrap()
+        WorkloadManager::new(ResourcePlan::from_conf(&c).unwrap())
     }
 
     #[test]
     fn empty_plan_is_the_legacy_single_pool() {
-        let c = conf().with(keys::SERVER_MAX_CONCURRENT, "5");
+        let c = HiveConf::new().with(keys::SERVER_MAX_CONCURRENT, "5");
         let plan = ResourcePlan::from_conf(&c).unwrap();
         assert!(!plan.configured());
         assert_eq!(plan.pools().len(), 1);
@@ -519,7 +508,7 @@ mod tests {
 
     #[test]
     fn plan_parsing_and_mapping() {
-        let c = conf()
+        let c = HiveConf::new()
             .with(
                 keys::SERVER_WM_PLAN,
                 "etl:share=3;interactive:share=2,priority=10",
@@ -544,18 +533,16 @@ mod tests {
             ("etl:share=1", "ann=interactiv"), // unknown pool
             ("etl:share=1", "annetl"),         // not user=pool
         ] {
-            let c = conf()
+            let c = HiveConf::new()
                 .with(keys::SERVER_WM_PLAN, plan)
                 .with(keys::SERVER_WM_MAPPING, mapping);
             assert!(ResourcePlan::from_conf(&c).is_err(), "{plan} / {mapping}");
         }
     }
 
-    /// Satellite: the default single-pool queue is strictly FIFO. The old
-    /// Condvar semaphore let a fresh arrival barge past parked waiters;
-    /// here slot grants follow ticket order exactly. Arrival order is made
-    /// deterministic by waiting for each thread to be *visibly queued*
-    /// before starting the next.
+    /// The default single-pool queue grants slots in ticket order exactly.
+    /// Arrival order is made deterministic by waiting for each thread to
+    /// be *visibly queued* before starting the next.
     #[test]
     fn single_pool_admission_is_strictly_fifo() {
         let wm = Arc::new(wm_with("", "", "1"));
@@ -590,24 +577,16 @@ mod tests {
     }
 
     #[test]
-    fn borrowing_is_work_conserving() {
-        let wm = wm_with("etl:share=1;fast:share=1,priority=5", "", "8");
-        // etl may borrow fast's idle slot...
+    fn under_share_pool_reclaims_via_preemption() {
+        let wm = Arc::new(wm_with("etl:share=1;fast:share=1,priority=5", "", "8"));
+        // Borrowing is work-conserving: etl takes its own slot and fast's
+        // idle one without queueing.
         let a = wm.admit(0, None);
         let b = wm.admit(0, None);
         assert!(!a.queued && !b.queued);
         assert_eq!(wm.active_count(0), 2);
-        wm.release(&a);
-        wm.release(&b);
-    }
-
-    #[test]
-    fn under_share_pool_reclaims_via_preemption() {
-        let wm = Arc::new(wm_with("etl:share=1;fast:share=1,priority=5", "", "8"));
-        let a = wm.admit(0, None); // etl, own slot
-        let b = wm.admit(0, None); // etl, borrowed from fast
-                                   // fast arrives: under share, total full, etl over share and lower
-                                   // priority → the youngest etl statement (b) gets cancelled.
+        // fast arrives: under share, total full, etl over share and lower
+        // priority → the youngest etl statement (b) gets cancelled.
         let wm2 = Arc::clone(&wm);
         let t = thread::spawn(move || {
             let g = wm2.admit(1, None);
@@ -640,15 +619,34 @@ mod tests {
         let x = wm.admit(0, None);
         let y = wm.admit(0, None); // borrows b's slot
         let wm2 = Arc::clone(&wm);
-        let t = thread::spawn(move || {
-            let g = wm2.admit(1, None);
-            wm2.release(&g);
-        });
+        let t = thread::spawn(move || wm2.release(&wm2.admit(1, None)));
         thread::sleep(Duration::from_millis(20));
         assert!(!x.cancel.is_cancelled() && !y.cancel.is_cancelled());
         wm.release(&y); // waiter proceeds normally
         t.join().unwrap();
         wm.release(&x);
         assert_eq!(wm.preemptions_fired(), 0);
+
+        // Immunity: `b` re-enters having survived `count` preemptions.
+        // Below the limit it is the youngest borrower and the victim; at
+        // the limit it is skipped and the older borrower `a` is taken.
+        for (count, b_is_victim) in [(PREEMPTION_LIMIT - 1, true), (PREEMPTION_LIMIT, false)] {
+            let wm = Arc::new(wm_with("etl:share=1;fast:share=1,priority=5", "", "8"));
+            let a = wm.admit(0, None);
+            let mut requeue = wm.release_preempted(&wm.admit(0, None));
+            requeue.preempt_count = count;
+            let b = wm.admit(0, Some(requeue));
+            let wm2 = Arc::clone(&wm);
+            let t = thread::spawn(move || wm2.release(&wm2.admit(1, None)));
+            while !a.cancel.is_cancelled() && !b.cancel.is_cancelled() {
+                thread::yield_now();
+            }
+            assert_eq!(b.cancel.is_cancelled(), b_is_victim, "count {count}");
+            let (victim, survivor) = if b_is_victim { (&b, &a) } else { (&a, &b) };
+            assert!(!survivor.cancel.is_cancelled(), "count {count}");
+            wm.release_preempted(victim);
+            t.join().unwrap();
+            wm.release(survivor);
+        }
     }
 }

@@ -108,8 +108,8 @@ impl Operator for VectorOpAdapter {
 }
 
 /// The single batch→row crossing point. A vectorized segment that cannot
-/// continue in batch mode (unsupported downstream shape, per-operator gate
-/// off) ends in exactly one bridge, which materializes the selected rows
+/// continue in batch mode (an unsupported downstream shape, or a map join
+/// with its gate off) ends in exactly one bridge, which materializes the selected rows
 /// and forwards them row-mode.
 pub struct RowBridgeOperator {
     /// Batch column index + logical type of each materialized column.

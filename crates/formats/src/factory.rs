@@ -215,8 +215,7 @@ pub fn open_reader(
                 skip_corrupt: conf.get_bool(keys::ORC_SKIP_CORRUPT)?,
                 // `hive.io.cache.bytes=0` is the master switch for both
                 // cache tiers; metadata caching piggybacks on it.
-                cache_metadata: conf.get_bool(keys::ORC_CACHE_METADATA)?
-                    && conf.get_i64(keys::IO_CACHE_BYTES)? > 0,
+                cache_metadata: conf.get_i64(keys::IO_CACHE_BYTES)? > 0,
                 variant: opts.variant,
             },
         )?),

@@ -50,10 +50,11 @@ pub struct OrcReadOptions {
     /// skip stripes (or individual index groups) whose bytes fail checksum
     /// or decode, and count the rows lost in [`ReadCounters::rows_skipped`].
     pub skip_corrupt: bool,
-    /// `hive.orc.cache.metadata`: share decoded footers, stripe footers,
-    /// and row-index statistics through the process-wide metadata cache,
-    /// keyed by `(dfs instance, path, file generation)`. When false the
-    /// reader decodes privately, exactly as before the cache existed.
+    /// Share decoded footers, stripe footers, and row-index statistics
+    /// through the process-wide metadata cache, keyed by `(dfs instance,
+    /// path, file generation)` (on while `hive.io.cache.bytes` is
+    /// non-zero). When false the reader decodes privately, exactly as
+    /// before the cache existed.
     pub cache_metadata: bool,
     /// Which sorted copy of the file to read (`0` = the base file in
     /// insertion order; `k > 0` = the replica-slot-`k` variant chosen by
@@ -142,6 +143,12 @@ struct StripeCursor {
     /// a gap where group 1's rows would be. Run lengths always sum to
     /// `rows_remaining`.
     segments: Vec<(u64, u64)>,
+}
+
+/// Split ownership: a stripe belongs to the split containing its first
+/// byte; with no split the reader owns every stripe.
+fn split_owns(split: Option<(u64, u64)>, si: &StripeInfo) -> bool {
+    split.is_none_or(|(start, end)| (start..end).contains(&si.offset))
 }
 
 /// The ORC file reader.
@@ -235,8 +242,15 @@ impl OrcReader {
                 needed[id] = true;
             }
         }
+        // Only the stripes this split owns count, so per-split totals sum
+        // to the file's stripe count however many splits scan it.
         let mut counters = ReadCounters {
-            stripes_total: meta.footer.stripes.len() as u64,
+            stripes_total: meta
+                .footer
+                .stripes
+                .iter()
+                .filter(|si| split_owns(opts.split, si))
+                .count() as u64,
             ..Default::default()
         };
         if opts.cache_metadata {
@@ -312,12 +326,8 @@ impl OrcReader {
             let stripe_ord = self.next_stripe_ord;
             self.next_stripe_ord += si.nrows;
 
-            // Split ownership: a stripe belongs to the split containing its
-            // first byte.
-            if let Some((start, end)) = self.opts.split {
-                if si.offset < start || si.offset >= end {
-                    continue;
-                }
+            if !split_owns(self.opts.split, &si) {
+                continue;
             }
 
             // Level 2: stripe statistics.

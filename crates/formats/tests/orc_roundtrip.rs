@@ -649,3 +649,68 @@ fn block_padding_reduces_remote_reads() {
         "alignment must cut remote reads: padded {padded} vs unpadded {unpadded}"
     );
 }
+
+#[test]
+fn split_stripe_totals_sum_to_the_footer_count() {
+    // Each split reports only the stripes it owns (first byte in
+    // `[start, end)`), so summing the per-split totals across a job's map
+    // tasks gives the file's stripe count, not `splits × stripes`.
+    let fs = Dfs::new(DfsConfig {
+        block_size: 32 << 10,
+        replication: 1,
+        nodes: 4,
+    });
+    let schema = Schema::parse(&[("i", "bigint"), ("s", "string")]).unwrap();
+    let opts = OrcWriterOptions {
+        stripe_size: 12 << 10,
+        row_index_stride: 200,
+        ..Default::default()
+    };
+    let rows =
+        (0..12_000).map(|i| Row::new(vec![Value::Int(i), Value::String(format!("row-{i:06}"))]));
+    write_orc(&fs, "/orc/split-totals", &schema, opts, rows);
+    let stripes = OrcReader::open(&fs, "/orc/split-totals", OrcReadOptions::default())
+        .unwrap()
+        .stripe_infos()
+        .len() as u64;
+    assert!(stripes >= 4, "want several stripes, got {stripes}");
+    assert!(fs.blocks("/orc/split-totals").unwrap().len() >= 2);
+    let len = fs.len("/orc/split-totals").unwrap();
+    let sarg = SearchArgument::new(vec![PredicateLeaf::new(
+        0,
+        PredicateOp::LessThan,
+        Some(Value::Int(3000)),
+    )]);
+    for n in [1u64, 2, 3, 7, 24] {
+        for pushdown in [None, Some(sarg.clone())] {
+            let (mut total, mut read, mut rows) = (0, 0, 0);
+            for k in 0..n {
+                let split = (k * len / n, (k + 1) * len / n);
+                let (got, r) = read_all(
+                    &fs,
+                    "/orc/split-totals",
+                    OrcReadOptions {
+                        split: Some(split),
+                        sarg: pushdown.clone(),
+                        ..Default::default()
+                    },
+                );
+                let c = r.counters;
+                assert!(
+                    c.stripes_read <= c.stripes_total,
+                    "{n} splits, {split:?}: {c:?}"
+                );
+                total += c.stripes_total;
+                read += c.stripes_read;
+                rows += got.len();
+            }
+            assert_eq!(total, stripes, "{n} splits");
+            if pushdown.is_none() {
+                assert_eq!(read, stripes, "{n} splits");
+                assert_eq!(rows, 12_000, "{n} splits");
+            } else {
+                assert!(read < stripes, "{n} splits: the sarg prunes stripes");
+            }
+        }
+    }
+}

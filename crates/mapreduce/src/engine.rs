@@ -1192,7 +1192,6 @@ impl MrEngine {
         &self,
         inputs: &'a [JobInput],
     ) -> Result<(Vec<Split<'a>>, Vec<(String, usize, String)>)> {
-        let replica_selection = self.conf.get_bool(keys::ORC_REPLICA_SELECTION)?;
         let mut splits = Vec::new();
         let mut choices = Vec::new();
         for input in inputs {
@@ -1217,8 +1216,7 @@ impl MrEngine {
                 if blocks.is_empty() || self.dfs.len(&path)? == 0 {
                     continue;
                 }
-                if replica_selection
-                    && input.format == hive_formats::FormatKind::Orc
+                if input.format == hive_formats::FormatKind::Orc
                     && input.overlay.is_none()
                     && !pred_cols.is_empty()
                 {

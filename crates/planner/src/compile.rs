@@ -270,10 +270,6 @@ pub fn compile(t: &Translation, conf: &HiveConf) -> Result<CompiledQuery> {
         // ----- JobSpec inputs and factories. ------------------------------
         let vectorize_on = conf.get_bool(keys::VECTORIZED_ENABLED)?;
         let vectorize_mapjoin = conf.get_bool(keys::VECTORIZED_MAPJOIN_ENABLED)?;
-        let vectorize_filter = conf.get_bool(keys::VECTORIZED_FILTER_ENABLED)?;
-        let vectorize_select = conf.get_bool(keys::VECTORIZED_SELECT_ENABLED)?;
-        let vectorize_groupby = conf.get_bool(keys::VECTORIZED_GROUPBY_ENABLED)?;
-        let vectorize_reducesink = conf.get_bool(keys::VECTORIZED_REDUCESINK_ENABLED)?;
         let batch_size = conf.get_usize(keys::VECTORIZED_BATCH_SIZE)?;
         let mut job_inputs = Vec::new();
         for mi in &map_inputs {
@@ -332,10 +328,6 @@ pub fn compile(t: &Translation, conf: &HiveConf) -> Result<CompiledQuery> {
             num_reducers,
             vectorize: vectorize_on,
             vectorize_mapjoin,
-            vectorize_filter,
-            vectorize_select,
-            vectorize_groupby,
-            vectorize_reducesink,
             batch_size,
         });
         let map_factory: MapPipelineFactory = {
@@ -726,10 +718,6 @@ struct MapBuildSpec {
     num_reducers: usize,
     vectorize: bool,
     vectorize_mapjoin: bool,
-    vectorize_filter: bool,
-    vectorize_select: bool,
-    vectorize_groupby: bool,
-    vectorize_reducesink: bool,
     batch_size: usize,
 }
 
@@ -755,10 +743,6 @@ impl MapBuildSpec {
                     batch_size: self.batch_size,
                     num_reducers: self.num_reducers.max(1),
                     mapjoin: self.vectorize_mapjoin,
-                    filter: self.vectorize_filter,
-                    select: self.vectorize_select,
-                    groupby: self.vectorize_groupby,
-                    reducesink: self.vectorize_reducesink,
                 };
                 if let Some(c) = vectorize::try_vectorize(&self.nodes, &view, side, &opts)? {
                     remaining.retain(|n| !c.consumed.contains(n));

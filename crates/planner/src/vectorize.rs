@@ -13,8 +13,8 @@
 //! shuffle sink (`VectorReduceSink`, or the fused `VectorGroupBySink`); a
 //! partially vectorized chain ends in exactly one `RowBridge`, where rows
 //! re-enter the row-mode graph at the first non-vectorizable operator.
-//! Per-operator gates (`hive.vectorized.execution.<op>.enabled`) break the
-//! chain at the gated operator, falling back the same way.
+//! Validation alone decides where the chain ends: there are no per-operator
+//! switches besides the map-join gate.
 
 use crate::plan::{GroupByPhase, PlanNode, PlanOp};
 use hive_common::{DataType, HiveError, Result, Row, Value};
@@ -46,12 +46,8 @@ pub struct MapInputView<'a> {
 pub struct VectorizeOpts {
     pub batch_size: usize,
     pub num_reducers: usize,
-    /// The `hive.vectorized.execution.<op>.enabled` per-operator gates.
+    /// `hive.vectorized.execution.mapjoin.enabled`.
     pub mapjoin: bool,
-    pub filter: bool,
-    pub select: bool,
-    pub groupby: bool,
-    pub reducesink: bool,
 }
 
 /// A compiled batch-native chain: exec-graph operators to run in order,
@@ -180,7 +176,7 @@ fn compile_chain(
         }
         let n = next[0];
         match &nodes[n].op {
-            PlanOp::Filter { predicate } if opts.filter => {
+            PlanOp::Filter { predicate } => {
                 let Some(f) = c.compile_filter(predicate)? else {
                     break;
                 };
@@ -194,7 +190,7 @@ fn compile_chain(
                 consumed.insert(n);
                 cur = n;
             }
-            PlanOp::Select { exprs } if opts.select => {
+            PlanOp::Select { exprs } => {
                 let Some(outputs) = c.compile_values(exprs)? else {
                     break;
                 };
@@ -213,7 +209,7 @@ fn compile_chain(
                 phase: GroupByPhase::MapHash,
                 keys,
                 aggs,
-            } if opts.groupby && opts.reducesink => {
+            } => {
                 // Fused partial-aggregate + reduce-sink: requires the
                 // in-chain child to be a plain (non-degenerate) ReduceSink,
                 // which is the planner's invariant shape for map-side
@@ -283,7 +279,7 @@ fn compile_chain(
                 values,
                 degenerate: true,
                 ..
-            } if opts.select => {
+            } => {
                 // A degenerate sink is a plain projection (keys ++ values);
                 // the chain continues through it in batch mode.
                 let mut exprs: Vec<ExprNode> = keys.clone();
@@ -307,7 +303,7 @@ fn compile_chain(
                 values,
                 degenerate: false,
                 ..
-            } if opts.reducesink => {
+            } => {
                 let Some(key_columns) = c.compile_values(keys)? else {
                     break;
                 };

@@ -360,25 +360,47 @@ fn fallback_boundaries_cross_exactly_one_row_bridge() {
     // Fully vectorized chains have no batch→row crossing at all.
     let text = analyze_text(JOIN_AGG, false);
     assert_eq!(text.matches("RowBridge").count(), 0, "{text}");
-    // A mid-chain gate breaks the chain at that operator: upstream stays
-    // vectorized and exactly ONE RowBridge crosses into row mode.
-    for knob in [
-        "hive.vectorized.execution.mapjoin.enabled",
-        "hive.vectorized.execution.groupby.enabled",
-        "hive.vectorized.execution.reducesink.enabled",
-    ] {
-        let text = analyze_text_conf(JOIN_AGG, |hive| {
-            hive.try_set(knob, "false").unwrap();
-        });
-        assert_eq!(text.matches("RowBridge").count(), 1, "{knob} off:\n{text}");
-        assert!(text.contains("Vector"), "{knob} off:\n{text}");
-    }
-    // Gating the FIRST operator of a chain leaves nothing to vectorize:
-    // the whole input falls back to row mode — no bridge, no vector ops.
-    let text = analyze_text_conf(JOIN_AGG, |hive| {
-        hive.try_set("hive.vectorized.execution.select.enabled", "false")
+    // The chain ends at the first operator the vectorizer cannot compile
+    // (`%` has no vector kernel): upstream stays vectorized and exactly ONE
+    // RowBridge crosses into row mode, right before that operator. The
+    // boundaries: the map-side group-by, a reduce-side join's reduce sink,
+    // and a map join with its knob off.
+    let mapjoin_off = |hive: &mut HiveSession| {
+        hive.try_set("hive.vectorized.execution.mapjoin.enabled", "false")
             .unwrap();
-    });
+    };
+    let boundaries = [
+        (
+            "GroupByOperator(hash)",
+            analyze_text(
+                "SELECT cust, SUM(okey % 7) AS s FROM orders WHERE total > 10.0 \
+                 GROUP BY cust ORDER BY cust",
+                false,
+            ),
+        ),
+        (
+            "ReduceSinkOperator",
+            analyze_text(
+                "SELECT customer.name, orders.total FROM orders \
+                 JOIN customer ON (orders.cust % 100 = customer.cust) WHERE orders.total > 100.0",
+                true,
+            ),
+        ),
+        ("MapJoinOperator", analyze_text_conf(JOIN_AGG, mapjoin_off)),
+    ];
+    for (row_op, text) in boundaries {
+        assert_eq!(text.matches("RowBridge").count(), 1, "{row_op}:\n{text}");
+        assert!(text.contains("Vector"), "{row_op}:\n{text}");
+        let after_bridge = text
+            .lines()
+            .skip_while(|l| !l.contains("RowBridge"))
+            .nth(1)
+            .unwrap_or_default();
+        assert!(after_bridge.contains(row_op), "{row_op}:\n{text}");
+    }
+    // An unvectorizable FIRST operator leaves nothing to vectorize: the
+    // whole input falls back to row mode — no bridge, no vector ops.
+    let text = analyze_text("SELECT okey FROM orders WHERE okey % 7 = 0", false);
     assert_eq!(text.matches("RowBridge").count(), 0, "{text}");
     assert!(!text.contains("Vector"), "{text}");
 }
@@ -740,6 +762,14 @@ fn unknown_knob_errors_carry_suggestions() {
         "dfs.replication",
         "mapreduce.cluster.nodes",
         "mapreduce.cluster.slots.per.node",
+        "hive.vectorized.execution.filter.enabled",
+        "hive.vectorized.execution.select.enabled",
+        "hive.vectorized.execution.groupby.enabled",
+        "hive.vectorized.execution.reducesink.enabled",
+        "hive.orc.replica.selection.enabled",
+        "hive.orc.cache.metadata",
+        "hive.server.wm.preemption.enabled",
+        "hive.server.wm.preemption.limit",
     ] {
         assert!(
             matches!(

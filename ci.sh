@@ -57,6 +57,15 @@ cargo test -q -p hive-core --test chaos --offline
 echo "==> ACID chaos gate (kill-anywhere crash points)"
 cargo test -q -p hive-core --test acid --test acid_chaos --offline
 
+# Grouping gate: the keyed vectorized aggregation against its BTreeMap
+# oracle (normalized keys, table growth, every aggregate, -0.0/0.0/NaN
+# keys), then the row-vs-vector differential proptests. Part of the
+# workspace run above; repeated here so a grouping regression is called
+# out by name.
+echo "==> keyed aggregation gate (oracle + row-vs-vector differentials)"
+cargo test -q -p hive-vector --test keyed_agg --offline
+cargo test -q --test properties --offline vectorized_
+
 # Observability gate: metrics-registry determinism across worker-thread
 # counts, EXPLAIN ANALYZE goldens, knob-registry errors, README knob table.
 echo "==> metrics determinism gate"

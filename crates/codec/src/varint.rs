@@ -16,6 +16,11 @@ pub fn write_unsigned(out: &mut Vec<u8>, mut v: u64) {
     }
 }
 
+/// Bytes [`write_unsigned`] appends for `v`: one per started 7-bit group.
+pub fn unsigned_len(v: u64) -> usize {
+    (64 - (v | 1).leading_zeros() as usize).div_ceil(7)
+}
+
 /// Append `v` as a zigzag-encoded signed varint.
 pub fn write_signed(out: &mut Vec<u8>, v: i64) {
     write_unsigned(out, zigzag(v));
@@ -91,6 +96,15 @@ mod tests {
         assert_eq!(zigzag(1), 2);
         assert_eq!(zigzag(-2), 3);
         assert_eq!(unzigzag(zigzag(-123456789)), -123456789);
+    }
+
+    #[test]
+    fn unsigned_len_matches_written_bytes() {
+        for v in [0, 1, 127, 128, 16383, 16384, u32::MAX as u64, u64::MAX] {
+            let mut buf = Vec::new();
+            write_unsigned(&mut buf, v);
+            assert_eq!(unsigned_len(v), buf.len(), "v={v}");
+        }
     }
 
     #[test]

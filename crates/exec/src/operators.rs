@@ -239,11 +239,6 @@ impl GroupByOperator {
         vals.extend(states.iter().map(RowAggState::output));
         Row::new(vals)
     }
-
-    /// Approximate hash-table footprint.
-    pub fn memory_size(&self) -> usize {
-        self.hash.len() * (64 + self.aggs.len() * 96)
-    }
 }
 
 impl Operator for GroupByOperator {
@@ -534,15 +529,6 @@ impl MapJoinTable {
             join_type,
             key_exprs: stream_keys,
         })
-    }
-
-    /// Approximate footprint, for the small-table threshold checks.
-    pub fn memory_size(&self) -> usize {
-        self.rows_by_key
-            .values()
-            .flat_map(|rows| rows.iter().map(Row::heap_size))
-            .sum::<usize>()
-            + self.rows_by_key.len() * 48
     }
 }
 

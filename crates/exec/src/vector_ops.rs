@@ -15,7 +15,6 @@
 //!   hash aggregator, and the (small) per-group partial rows only come
 //!   into existence as shuffle records at close.
 
-use crate::expr::ExprNode;
 use crate::graph::{Emit, Message, Operator, ShuffleRecord};
 use hive_common::{DataType, HiveError, Result, Row};
 use hive_vector::aggregates::VectorHashAggregator;
@@ -232,16 +231,17 @@ impl Operator for VectorReduceSinkOperator {
 
 /// Fused map-side partial group-by + reduce sink: the batch chain ends in a
 /// typed vectorized hash aggregation, and partial results surface only as
-/// shuffle records at close (AVG partials are `struct(sum, count)` values,
-/// which never fit a column vector — the shuffle is the natural row
-/// boundary, and per-group row counts are small).
+/// shuffle records at close, built straight from the aggregator's key and
+/// state columns (AVG partials are `struct(sum, count)` values, which never
+/// fit a column vector — the shuffle is the natural row boundary).
 pub struct VectorGroupBySinkOperator {
     /// Scratch-column expressions run per batch (group keys + agg inputs).
     pub expressions: Vec<Box<dyn VectorExpression>>,
     aggregator: VectorHashAggregator,
-    /// Row-mode expressions over the partial row (keys ++ partial values).
-    pub key_exprs: Vec<ExprNode>,
-    pub value_exprs: Vec<ExprNode>,
+    /// Shuffle key and value columns, as positions in the partial row
+    /// (keys ++ partial values).
+    pub key_cols: Vec<usize>,
+    pub value_cols: Vec<usize>,
     pub tag: usize,
     pub num_reducers: usize,
     batches: u64,
@@ -253,16 +253,16 @@ impl VectorGroupBySinkOperator {
     pub fn new(
         expressions: Vec<Box<dyn VectorExpression>>,
         aggregator: VectorHashAggregator,
-        key_exprs: Vec<ExprNode>,
-        value_exprs: Vec<ExprNode>,
+        key_cols: Vec<usize>,
+        value_cols: Vec<usize>,
         tag: usize,
         num_reducers: usize,
     ) -> VectorGroupBySinkOperator {
         VectorGroupBySinkOperator {
             expressions,
             aggregator,
-            key_exprs,
-            value_exprs,
+            key_cols,
+            value_cols,
             tag,
             num_reducers,
             batches: 0,
@@ -301,29 +301,28 @@ impl Operator for VectorGroupBySinkOperator {
         if self.rows_seen == 0 {
             return Ok(vec![]);
         }
-        let agg = std::mem::replace(
-            &mut self.aggregator,
-            VectorHashAggregator::new(vec![], vec![]),
-        );
-        let partials = agg.finish_partial();
-        self.groups_out = partials.len() as u64;
-        let mut emits = Vec::with_capacity(partials.len());
-        for row in partials {
-            let mut key = Vec::with_capacity(self.key_exprs.len());
-            for e in &self.key_exprs {
-                key.push(e.eval(&row)?);
-            }
-            let mut value = Vec::with_capacity(self.value_exprs.len());
-            for e in &self.value_exprs {
-                value.push(e.eval(&row)?);
-            }
-            emits.push(Emit::Shuffle(ShuffleRecord {
-                key,
-                value: Row::new(value),
-                tag: self.tag,
-                num_reducers: self.num_reducers,
-            }));
-        }
+        let agg = &self.aggregator;
+        let groups = agg.num_groups();
+        self.groups_out = groups as u64;
+        let emits = (0..groups)
+            .map(|g| {
+                Emit::Shuffle(ShuffleRecord {
+                    key: self
+                        .key_cols
+                        .iter()
+                        .map(|&c| agg.partial_value(g, c))
+                        .collect(),
+                    value: Row::new(
+                        self.value_cols
+                            .iter()
+                            .map(|&c| agg.partial_value(g, c))
+                            .collect(),
+                    ),
+                    tag: self.tag,
+                    num_reducers: self.num_reducers,
+                })
+            })
+            .collect();
         Ok(emits)
     }
 
@@ -440,8 +439,8 @@ mod tests {
                     input_column: None,
                 }],
             ),
-            vec![ExprNode::Column(0)],
-            vec![ExprNode::Column(1)],
+            vec![0],
+            vec![1],
             0,
             1,
         );
@@ -476,7 +475,7 @@ mod tests {
                 }],
             ),
             vec![],
-            vec![ExprNode::Column(0)],
+            vec![0],
             0,
             1,
         );

@@ -246,6 +246,32 @@ pub fn binary_serialize_value(v: &Value, out: &mut Vec<u8>) {
     }
 }
 
+/// Bytes [`binary_serialize_value`] appends for `v`, without allocating.
+pub fn binary_serialized_value_len(v: &Value) -> usize {
+    use hive_codec::varint::{unsigned_len, zigzag};
+    1 + match v {
+        Value::Null => 0,
+        Value::Boolean(_) => 1,
+        Value::Int(x) | Value::Timestamp(x) => unsigned_len(zigzag(*x)),
+        Value::Double(_) => 8,
+        Value::String(s) => unsigned_len(s.len() as u64) + s.len(),
+        Value::Array(items) | Value::Struct(items) => {
+            unsigned_len(items.len() as u64)
+                + items.iter().map(binary_serialized_value_len).sum::<usize>()
+        }
+        Value::Map(entries) => {
+            unsigned_len(entries.len() as u64)
+                + entries
+                    .iter()
+                    .map(|(k, val)| {
+                        binary_serialized_value_len(k) + binary_serialized_value_len(val)
+                    })
+                    .sum::<usize>()
+        }
+        Value::Union(_, val) => 1 + binary_serialized_value_len(val),
+    }
+}
+
 /// Binary-deserialize one value at `*pos`, advancing it.
 pub fn binary_deserialize_value(buf: &[u8], pos: &mut usize) -> Result<Value> {
     let tag = *buf
@@ -329,6 +355,16 @@ pub fn binary_serialize_row(row: &Row, out: &mut Vec<u8>) {
     for v in row.values() {
         binary_serialize_value(v, out);
     }
+}
+
+/// Bytes [`binary_serialize_row`] appends for a row of `values`: the
+/// length varint plus each value's size, without allocating.
+pub fn binary_serialized_len(values: &[Value]) -> usize {
+    hive_codec::varint::unsigned_len(values.len() as u64)
+        + values
+            .iter()
+            .map(binary_serialized_value_len)
+            .sum::<usize>()
 }
 
 /// Binary-deserialize a whole row.

@@ -5,6 +5,7 @@ use crate::job::{JobInput, JobOutput, JobSpec, ReducePipelineFactory, SideInput}
 use hive_common::{config::keys, CancelToken, HiveConf, HiveError, Result, Row, Value};
 use hive_dfs::{Dfs, IoScope, IoSnapshot};
 use hive_exec::graph::{Message, ShuffleRecord};
+use hive_formats::serde::binary_serialized_len;
 use hive_formats::{open_reader, ReadOptions, TableWriter};
 use hive_obs::profile::merge_profiles;
 use hive_obs::{ExecCounters, OpProfile, ScanProfile, TaskPhase, TaskTrace};
@@ -1057,13 +1058,12 @@ impl MrEngine {
         r: usize,
         mut partition: Vec<ShuffleRecord>,
     ) -> Result<ReduceTaskResult> {
+        let t0 = Instant::now();
         let shuffle_bytes: u64 = partition
             .iter()
             .map(|rec| {
-                let mut buf = Vec::new();
-                hive_formats::serde::binary_serialize_row(&Row::new(rec.key.clone()), &mut buf);
-                hive_formats::serde::binary_serialize_row(&rec.value, &mut buf);
-                buf.len() as u64 + 8
+                (binary_serialized_len(&rec.key) + binary_serialized_len(rec.value.values())) as u64
+                    + 8
             })
             .sum();
         let rows_processed = partition.len() as u64;
@@ -1076,7 +1076,6 @@ impl MrEngine {
 
         let scope = IoScope::new();
         let io_guard = scope.enter();
-        let t0 = Instant::now();
         let (mut graph, root) = reduce_factory()?;
         let mut task_out: Vec<Row> = Vec::new();
         {

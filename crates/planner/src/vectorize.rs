@@ -233,6 +233,23 @@ fn compile_chain(
                 else {
                     break;
                 };
+                // The sink reads shuffle columns straight off the partial
+                // row (keys ++ aggregates), so the sink's keys and values
+                // must be plain columns of it.
+                let partial_cols = |exprs: &[ExprNode]| -> Option<Vec<usize>> {
+                    exprs
+                        .iter()
+                        .map(|e| match e {
+                            ExprNode::Column(i) if *i < keys.len() + aggs.len() => Some(*i),
+                            _ => None,
+                        })
+                        .collect()
+                };
+                let (Some(rs_key_cols), Some(rs_value_cols)) =
+                    (partial_cols(rs_keys), partial_cols(rs_values))
+                else {
+                    break;
+                };
                 let mut key_cols = Vec::with_capacity(keys.len());
                 let mut ok = true;
                 for k in keys {
@@ -264,8 +281,8 @@ fn compile_chain(
                 operators.push(Some(Box::new(VectorGroupBySinkOperator::new(
                     expressions,
                     VectorHashAggregator::new(key_cols, specs),
-                    rs_keys.clone(),
-                    rs_values.clone(),
+                    rs_key_cols,
+                    rs_value_cols,
                     tag,
                     opts.num_reducers,
                 ))));

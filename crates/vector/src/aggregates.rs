@@ -1,10 +1,18 @@
 //! Vectorized aggregation: tight-loop global aggregates and a hash
 //! group-by over batches, the vectorized counterpart of Hive's
 //! GroupByOperator for queries like TPC-H q1/q6 (paper Section 7.4).
+//!
+//! The keyed path is a batch kernel of three loops over the selected
+//! lanes: encode each lane's group key once into a normalized byte form,
+//! look the keys up in an open-addressing table (filling a `lane → group`
+//! vector), then update each aggregate's typed state column over that
+//! vector. Groups are emitted in first-seen order with no sort; the reduce
+//! side sorts by key anyway.
 
 use crate::batch::{ColumnVector, VectorizedRowBatch};
 use hive_common::{HiveError, Result, Row, Value};
-use std::collections::HashMap;
+use std::collections::hash_map::RandomState;
+use std::hash::BuildHasher;
 
 /// Which aggregate function to compute.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -118,62 +126,288 @@ impl AggState {
     }
 }
 
-/// A hashable group key extracted from one batch row.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub enum KeyPart {
-    Null,
-    Long(i64),
-    /// f64 bits — NaN-sensitive but deterministic grouping.
-    Double(u64),
-    Bytes(Vec<u8>),
+/// Physical type of one group-key column, fixed by the first batch.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum KeyKind {
+    Long,
+    Double,
+    Bytes,
 }
 
-impl KeyPart {
-    pub fn to_value(&self) -> Value {
-        match self {
-            KeyPart::Null => Value::Null,
-            KeyPart::Long(v) => Value::Int(*v),
-            KeyPart::Double(bits) => Value::Double(f64::from_bits(*bits)),
-            KeyPart::Bytes(b) => Value::String(String::from_utf8_lossy(b).into_owned()),
+impl KeyKind {
+    fn of(col: &ColumnVector) -> KeyKind {
+        match col {
+            ColumnVector::Long(_) => KeyKind::Long,
+            ColumnVector::Double(_) => KeyKind::Double,
+            ColumnVector::Bytes(_) => KeyKind::Bytes,
         }
     }
 }
 
-fn key_part(col: &ColumnVector, i: usize) -> KeyPart {
-    if col.is_null(i) {
-        return KeyPart::Null;
+/// Normalized key encoding: each key column contributes a tag byte
+/// (`NULL_TAG` or `VALUE_TAG`) and then, for a fixed-width column, 8 bytes
+/// (the `i64`, or the `f64` bit pattern, so doubles group by bits and
+/// -0.0, 0.0 and every NaN payload are distinct groups), or for a string
+/// column a `u32` length and the bytes. A NULL keeps its column's payload
+/// zeroed, so NULL is its own group.
+const NULL_TAG: u8 = 0;
+const VALUE_TAG: u8 = 1;
+const FIXED_WIDTH: usize = 9;
+const BYTES_HEADER: usize = 5;
+
+/// Open-addressing table from encoded group key to group number: linear
+/// probing over a power-of-two slot array kept at most half full. Groups
+/// are numbered in first-seen order; their keys sit back to back in one
+/// arena.
+struct GroupTable {
+    seed: u64,
+    /// `group + 1` per slot; 0 marks an empty slot.
+    slots: Vec<u32>,
+    /// Each group's key hash, so growing never rehashes key bytes.
+    hashes: Vec<u64>,
+    /// Group `g`'s key is `arena[bounds[g]..bounds[g + 1]]`.
+    bounds: Vec<usize>,
+    arena: Vec<u8>,
+}
+
+/// Slots of a fresh table: a short interactive statement never grows it.
+const INITIAL_SLOTS: usize = 16;
+
+impl GroupTable {
+    fn new() -> GroupTable {
+        GroupTable {
+            seed: RandomState::new().hash_one(0u8),
+            slots: vec![0; INITIAL_SLOTS],
+            hashes: Vec::new(),
+            bounds: vec![0],
+            arena: Vec::new(),
+        }
     }
-    match col {
-        ColumnVector::Long(v) => KeyPart::Long(v.value(i)),
-        ColumnVector::Double(v) => KeyPart::Double(v.value(i).to_bits()),
-        ColumnVector::Bytes(v) => KeyPart::Bytes(v.value(i).to_vec()),
+
+    fn len(&self) -> usize {
+        self.hashes.len()
     }
+
+    fn key(&self, g: usize) -> &[u8] {
+        &self.arena[self.bounds[g]..self.bounds[g + 1]]
+    }
+
+    fn find_or_insert(&mut self, key: &[u8]) -> u32 {
+        let hash = hash_key(self.seed, key);
+        let mask = self.slots.len() - 1;
+        let mut pos = hash as usize & mask;
+        while self.slots[pos] != 0 {
+            let g = (self.slots[pos] - 1) as usize;
+            if self.hashes[g] == hash && self.key(g) == key {
+                return g as u32;
+            }
+            pos = (pos + 1) & mask;
+        }
+        let g = self.len() as u32;
+        self.slots[pos] = g + 1;
+        self.hashes.push(hash);
+        self.arena.extend_from_slice(key);
+        self.bounds.push(self.arena.len());
+        if self.len() * 2 > self.slots.len() {
+            self.grow();
+        }
+        g
+    }
+
+    fn grow(&mut self) {
+        let mask = self.slots.len() * 2 - 1;
+        let mut slots = vec![0u32; mask + 1];
+        for (g, &hash) in self.hashes.iter().enumerate() {
+            let mut pos = hash as usize & mask;
+            while slots[pos] != 0 {
+                pos = (pos + 1) & mask;
+            }
+            slots[pos] = g as u32 + 1;
+        }
+        self.slots = slots;
+    }
+}
+
+/// Hash of an encoded key: multiply-rotate over 8-byte words from a
+/// per-table random seed (keys come from table data, so the probe
+/// sequence must not be predictable), then the murmur3 finalizer so the
+/// low bits the table masks with are well mixed.
+fn hash_key(seed: u64, key: &[u8]) -> u64 {
+    const K: u64 = 0x9e37_79b9_7f4a_7c15;
+    let mut h = seed ^ key.len() as u64;
+    let mut words = key.chunks_exact(8);
+    for w in &mut words {
+        h = (h.rotate_left(5)
+            ^ u64::from_le_bytes(w.try_into().expect("chunks_exact yields 8 bytes")))
+        .wrapping_mul(K);
+    }
+    let rest = words.remainder();
+    if !rest.is_empty() {
+        let mut w = [0u8; 8];
+        w[..rest.len()].copy_from_slice(rest);
+        h = (h.rotate_left(5) ^ u64::from_le_bytes(w)).wrapping_mul(K);
+    }
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+    h ^ (h >> 33)
+}
+
+/// One aggregate's state for every group: typed columns indexed by group
+/// number. `seen[g]` stays false until group `g` meets a non-null input.
+enum StateColumn {
+    /// COUNT(*) and COUNT(col).
+    Count(Vec<i64>),
+    /// SUM, MIN or MAX over longs.
+    Long {
+        val: Vec<i64>,
+        seen: Vec<bool>,
+    },
+    /// SUM, MIN or MAX over doubles.
+    Double {
+        val: Vec<f64>,
+        seen: Vec<bool>,
+    },
+    /// MIN or MAX over strings.
+    Bytes(Vec<Option<Vec<u8>>>),
+    Avg {
+        sum: Vec<f64>,
+        count: Vec<i64>,
+    },
+}
+
+impl StateColumn {
+    fn new(kind: AggKind) -> StateColumn {
+        match kind {
+            AggKind::CountStar | AggKind::Count => StateColumn::Count(Vec::new()),
+            AggKind::SumLong | AggKind::MinLong | AggKind::MaxLong => StateColumn::Long {
+                val: Vec::new(),
+                seen: Vec::new(),
+            },
+            AggKind::SumDouble | AggKind::MinDouble | AggKind::MaxDouble => StateColumn::Double {
+                val: Vec::new(),
+                seen: Vec::new(),
+            },
+            AggKind::MinBytes | AggKind::MaxBytes => StateColumn::Bytes(Vec::new()),
+            AggKind::Avg => StateColumn::Avg {
+                sum: Vec::new(),
+                count: Vec::new(),
+            },
+        }
+    }
+
+    /// Give every group up to `n` a fresh state.
+    fn resize(&mut self, n: usize) {
+        match self {
+            StateColumn::Count(c) => c.resize(n, 0),
+            StateColumn::Long { val, seen } => {
+                val.resize(n, 0);
+                seen.resize(n, false);
+            }
+            StateColumn::Double { val, seen } => {
+                val.resize(n, 0.0);
+                seen.resize(n, false);
+            }
+            StateColumn::Bytes(v) => v.resize(n, None),
+            StateColumn::Avg { sum, count } => {
+                sum.resize(n, 0.0);
+                count.resize(n, 0);
+            }
+        }
+    }
+
+    /// Group `g`'s value: the map-side partial (AVG as `struct(sum,
+    /// count)`) or the final SQL value.
+    fn value(&self, g: usize, partial: bool) -> Value {
+        match self {
+            StateColumn::Count(c) => Value::Int(c[g]),
+            StateColumn::Long { val, seen } => {
+                if seen[g] {
+                    Value::Int(val[g])
+                } else {
+                    Value::Null
+                }
+            }
+            StateColumn::Double { val, seen } => {
+                if seen[g] {
+                    Value::Double(val[g])
+                } else {
+                    Value::Null
+                }
+            }
+            StateColumn::Bytes(v) => v[g]
+                .as_ref()
+                .map(|b| Value::String(String::from_utf8_lossy(b).into_owned()))
+                .unwrap_or(Value::Null),
+            StateColumn::Avg { sum, count } => {
+                if partial {
+                    Value::Struct(vec![Value::Double(sum[g]), Value::Int(count[g])])
+                } else if count[g] > 0 {
+                    Value::Double(sum[g] / count[g] as f64)
+                } else {
+                    Value::Null
+                }
+            }
+        }
+    }
+}
+
+/// Per-batch buffers of the keyed kernel, kept across batches so a batch
+/// allocates only when it outgrows them.
+#[derive(Default)]
+struct LaneBuffers {
+    /// Physical row index of each selected lane.
+    lanes: Vec<usize>,
+    /// Lane `j`'s encoded key is `keys[bounds[j]..bounds[j + 1]]`.
+    keys: Vec<u8>,
+    bounds: Vec<usize>,
+    /// Write position of the next key column, per lane.
+    cursor: Vec<usize>,
+    /// Group number of each lane.
+    groups: Vec<u32>,
 }
 
 /// Hash aggregation over vectorized batches.
 ///
 /// With no group-by keys the aggregator runs tight per-vector loops (the
-/// common scan-heavy case of q1/q6's map side after filtering); with keys it
-/// extracts a key per selected row and updates that group's states.
+/// common scan-heavy case of q1/q6's map side after filtering). With keys
+/// each batch goes through the keyed kernel: encode, look up, then update
+/// one state column at a time over the `lane → group` vector, in lane
+/// order, so every float sum adds its inputs in arrival order.
 pub struct VectorHashAggregator {
     key_columns: Vec<usize>,
     specs: Vec<AggSpec>,
-    groups: HashMap<Vec<KeyPart>, Vec<AggState>>,
+    /// Physical type of each key column, taken from the first batch.
+    key_kinds: Vec<KeyKind>,
+    table: GroupTable,
+    /// One state column per aggregate (keyed path only).
+    states: Vec<StateColumn>,
+    buf: LaneBuffers,
     /// Fast path state when `key_columns` is empty.
     global: Option<Vec<AggState>>,
 }
 
 impl VectorHashAggregator {
     pub fn new(key_columns: Vec<usize>, specs: Vec<AggSpec>) -> VectorHashAggregator {
-        let global = if key_columns.is_empty() {
-            Some(specs.iter().map(|s| AggState::new(s.kind)).collect())
+        let (global, states) = if key_columns.is_empty() {
+            (
+                Some(specs.iter().map(|s| AggState::new(s.kind)).collect()),
+                Vec::new(),
+            )
         } else {
-            None
+            (
+                None,
+                specs.iter().map(|s| StateColumn::new(s.kind)).collect(),
+            )
         };
         VectorHashAggregator {
             key_columns,
             specs,
-            groups: HashMap::new(),
+            key_kinds: Vec::new(),
+            table: GroupTable::new(),
+            states,
+            buf: LaneBuffers::default(),
             global,
         }
     }
@@ -182,13 +416,8 @@ impl VectorHashAggregator {
         if self.global.is_some() {
             1
         } else {
-            self.groups.len()
+            self.table.len()
         }
-    }
-
-    /// Approximate memory footprint (for hash-side spill decisions).
-    pub fn memory_size(&self) -> usize {
-        self.groups.len() * (64 + self.specs.len() * 24 + self.key_columns.len() * 24)
     }
 
     /// Consume one batch.
@@ -196,65 +425,302 @@ impl VectorHashAggregator {
         if batch.size == 0 {
             return Ok(());
         }
-        if self.global.is_some() {
-            let mut states = self.global.take().unwrap();
+        if let Some(states) = &mut self.global {
             for (spec, state) in self.specs.iter().zip(states.iter_mut()) {
                 update_vectorized(spec, state, batch)?;
             }
-            self.global = Some(states);
             return Ok(());
         }
-        // Keyed path: per-row key extraction.
-        let nspecs = self.specs.len();
-        for i in batch.iter_selected() {
-            let key: Vec<KeyPart> = self
+        let lanes = &mut self.buf.lanes;
+        lanes.clear();
+        if batch.selected_in_use {
+            lanes.extend_from_slice(&batch.selected[..batch.size]);
+        } else {
+            lanes.extend(0..batch.size);
+        }
+        self.encode_keys(batch)?;
+        let s = &mut self.buf;
+        s.groups.clear();
+        for w in s.bounds.windows(2) {
+            s.groups
+                .push(self.table.find_or_insert(&s.keys[w[0]..w[1]]));
+        }
+        for (spec, state) in self.specs.iter().zip(self.states.iter_mut()) {
+            state.resize(self.table.len());
+            update_groups(spec, state, batch, &s.lanes, &s.groups)?;
+        }
+        Ok(())
+    }
+
+    /// Encode every selected lane's key into `buf.keys`, one key
+    /// column at a time.
+    fn encode_keys(&mut self, batch: &VectorizedRowBatch) -> Result<()> {
+        if self.key_kinds.is_empty() {
+            self.key_kinds = self
                 .key_columns
                 .iter()
-                .map(|&c| key_part(&batch.columns[c], i))
+                .map(|&c| KeyKind::of(&batch.columns[c]))
                 .collect();
-            let states = self.groups.entry(key).or_insert_with(|| {
-                (0..nspecs)
-                    .map(|k| AggState::new(self.specs[k].kind))
-                    .collect()
-            });
-            for (spec, state) in self.specs.iter().zip(states.iter_mut()) {
-                update_one(spec, state, batch, i)?;
+        }
+        let s = &mut self.buf;
+        let n = s.lanes.len();
+        let mut width = 0;
+        for (&c, &kind) in self.key_columns.iter().zip(&self.key_kinds) {
+            if KeyKind::of(&batch.columns[c]) != kind {
+                return Err(HiveError::Execution(format!(
+                    "group key column {c} changed type between batches"
+                )));
+            }
+            width += if kind == KeyKind::Bytes {
+                BYTES_HEADER
+            } else {
+                FIXED_WIDTH
+            };
+        }
+        // Lane widths, then their prefix sums.
+        s.bounds.clear();
+        s.bounds.resize(n + 1, width);
+        s.bounds[0] = 0;
+        for &c in &self.key_columns {
+            if let ColumnVector::Bytes(v) = &batch.columns[c] {
+                for (b, &i) in s.bounds[1..].iter_mut().zip(&s.lanes) {
+                    if !v.is_null(i) {
+                        *b += v.value(i).len();
+                    }
+                }
+            }
+        }
+        for j in 1..=n {
+            s.bounds[j] += s.bounds[j - 1];
+        }
+        s.keys.clear();
+        s.keys.resize(s.bounds[n], 0);
+        s.cursor.clear();
+        s.cursor.extend_from_slice(&s.bounds[..n]);
+        for &c in &self.key_columns {
+            let keys = &mut s.keys;
+            match &batch.columns[c] {
+                ColumnVector::Long(v) => {
+                    for (&i, p) in s.lanes.iter().zip(s.cursor.iter_mut()) {
+                        if !v.is_null(i) {
+                            keys[*p] = VALUE_TAG;
+                            keys[*p + 1..*p + FIXED_WIDTH]
+                                .copy_from_slice(&v.value(i).to_le_bytes());
+                        }
+                        *p += FIXED_WIDTH;
+                    }
+                }
+                ColumnVector::Double(v) => {
+                    for (&i, p) in s.lanes.iter().zip(s.cursor.iter_mut()) {
+                        if !v.is_null(i) {
+                            keys[*p] = VALUE_TAG;
+                            keys[*p + 1..*p + FIXED_WIDTH]
+                                .copy_from_slice(&v.value(i).to_bits().to_le_bytes());
+                        }
+                        *p += FIXED_WIDTH;
+                    }
+                }
+                ColumnVector::Bytes(v) => {
+                    for (&i, p) in s.lanes.iter().zip(s.cursor.iter_mut()) {
+                        if v.is_null(i) {
+                            *p += BYTES_HEADER;
+                            continue;
+                        }
+                        let b = v.value(i);
+                        keys[*p] = VALUE_TAG;
+                        keys[*p + 1..*p + BYTES_HEADER]
+                            .copy_from_slice(&(b.len() as u32).to_le_bytes());
+                        *p += BYTES_HEADER;
+                        keys[*p..*p + b.len()].copy_from_slice(b);
+                        *p += b.len();
+                    }
+                }
             }
         }
         Ok(())
     }
 
-    /// Finish: emit one row per group — key values then aggregate values.
-    pub fn finish(self) -> Vec<Row> {
-        self.finish_rows(false)
-    }
-
-    /// Finish emitting map-side *partial* states (for the shuffle).
-    pub fn finish_partial(self) -> Vec<Row> {
-        self.finish_rows(true)
-    }
-
-    fn finish_rows(self, partial: bool) -> Vec<Row> {
-        let render = if partial {
-            AggState::partial
-        } else {
-            AggState::finish
+    /// Key column `c` of an encoded key.
+    fn decode_key(&self, key: &[u8], c: usize) -> Value {
+        let mut p = 0;
+        for kind in &self.key_kinds[..c] {
+            p += match kind {
+                KeyKind::Bytes => BYTES_HEADER + read_len(key, p),
+                _ => FIXED_WIDTH,
+            };
+        }
+        if key[p] == NULL_TAG {
+            return Value::Null;
+        }
+        let word = |p: usize| {
+            u64::from_le_bytes(
+                key[p + 1..p + FIXED_WIDTH]
+                    .try_into()
+                    .expect("8-byte payload"),
+            )
         };
-        let mut out = Vec::new();
-        if let Some(states) = self.global {
-            out.push(Row::new(states.iter().map(render).collect()));
-            return out;
+        match self.key_kinds[c] {
+            KeyKind::Long => Value::Int(word(p) as i64),
+            KeyKind::Double => Value::Double(f64::from_bits(word(p))),
+            KeyKind::Bytes => {
+                let b = &key[p + BYTES_HEADER..p + BYTES_HEADER + read_len(key, p)];
+                Value::String(String::from_utf8_lossy(b).into_owned())
+            }
         }
-        let mut entries: Vec<_> = self.groups.into_iter().collect();
-        // Deterministic output order for tests and reducers.
-        entries.sort_by(|a, b| format!("{:?}", a.0).cmp(&format!("{:?}", b.0)));
-        for (key, states) in entries {
-            let mut vals: Vec<Value> = key.iter().map(KeyPart::to_value).collect();
-            vals.extend(states.iter().map(render));
-            out.push(Row::new(vals));
-        }
-        out
     }
+
+    /// Column `c` of group `g`'s output row (keys, then one value per
+    /// aggregate), partial or final. Groups are numbered in first-seen
+    /// order.
+    fn value(&self, g: usize, c: usize, partial: bool) -> Value {
+        if let Some(states) = &self.global {
+            return if partial {
+                states[c].partial()
+            } else {
+                states[c].finish()
+            };
+        }
+        let nk = self.key_columns.len();
+        if c < nk {
+            self.decode_key(self.table.key(g), c)
+        } else {
+            self.states[c - nk].value(g, partial)
+        }
+    }
+
+    /// Column `c` of group `g`'s map-side partial row (what travels through
+    /// the shuffle): the key columns, then one partial state per aggregate.
+    pub fn partial_value(&self, g: usize, c: usize) -> Value {
+        self.value(g, c, true)
+    }
+
+    /// Finish: emit one row per group — key values then aggregate values —
+    /// in first-seen group order.
+    pub fn finish(self) -> Vec<Row> {
+        let width = self.key_columns.len() + self.specs.len();
+        (0..self.num_groups())
+            .map(|g| Row::new((0..width).map(|c| self.value(g, c, false)).collect()))
+            .collect()
+    }
+}
+
+/// The `u32` length of a string key part that starts at `p`.
+fn read_len(key: &[u8], p: usize) -> usize {
+    u32::from_le_bytes(
+        key[p + 1..p + BYTES_HEADER]
+            .try_into()
+            .expect("4-byte length"),
+    ) as usize
+}
+
+/// Visit `(group, value)` for every lane whose input is non-null, in lane
+/// order.
+macro_rules! for_non_null {
+    ($v:expr, $lanes:expr, $groups:expr, |$g:ident, $x:ident| $body:expr) => {
+        for (&i, &g) in $lanes.iter().zip($groups) {
+            if !$v.is_null(i) {
+                let $g = g as usize;
+                let $x = $v.value(i);
+                $body;
+            }
+        }
+    };
+}
+
+/// Keyed update of one aggregate's state column over a batch: the column
+/// types are matched once, then one loop runs over the `lane → group`
+/// vector.
+fn update_groups(
+    spec: &AggSpec,
+    state: &mut StateColumn,
+    batch: &VectorizedRowBatch,
+    lanes: &[usize],
+    groups: &[u32],
+) -> Result<()> {
+    if let (AggKind::CountStar, StateColumn::Count(c)) = (spec.kind, &mut *state) {
+        for &g in groups {
+            c[g as usize] += 1;
+        }
+        return Ok(());
+    }
+    let col = &batch.columns[spec
+        .input_column
+        .ok_or_else(|| HiveError::Execution("aggregate missing input column".into()))?];
+    match (spec.kind, state, col) {
+        (AggKind::Count, StateColumn::Count(c), col) => {
+            for (&i, &g) in lanes.iter().zip(groups) {
+                c[g as usize] += !col.is_null(i) as i64;
+            }
+        }
+        (AggKind::SumLong, StateColumn::Long { val, seen }, ColumnVector::Long(v)) => {
+            for_non_null!(v, lanes, groups, |g, x| {
+                val[g] = val[g].wrapping_add(x);
+                seen[g] = true;
+            });
+        }
+        (AggKind::MinLong, StateColumn::Long { val, seen }, ColumnVector::Long(v)) => {
+            for_non_null!(v, lanes, groups, |g, x| {
+                val[g] = if seen[g] { val[g].min(x) } else { x };
+                seen[g] = true;
+            });
+        }
+        (AggKind::MaxLong, StateColumn::Long { val, seen }, ColumnVector::Long(v)) => {
+            for_non_null!(v, lanes, groups, |g, x| {
+                val[g] = if seen[g] { val[g].max(x) } else { x };
+                seen[g] = true;
+            });
+        }
+        (AggKind::SumDouble, StateColumn::Double { val, seen }, ColumnVector::Double(v)) => {
+            for_non_null!(v, lanes, groups, |g, x| {
+                val[g] += x;
+                seen[g] = true;
+            });
+        }
+        (AggKind::MinDouble, StateColumn::Double { val, seen }, ColumnVector::Double(v)) => {
+            for_non_null!(v, lanes, groups, |g, x| {
+                val[g] = if seen[g] { val[g].min(x) } else { x };
+                seen[g] = true;
+            });
+        }
+        (AggKind::MaxDouble, StateColumn::Double { val, seen }, ColumnVector::Double(v)) => {
+            for_non_null!(v, lanes, groups, |g, x| {
+                val[g] = if seen[g] { val[g].max(x) } else { x };
+                seen[g] = true;
+            });
+        }
+        (AggKind::MinBytes, StateColumn::Bytes(m), ColumnVector::Bytes(v)) => {
+            for_non_null!(v, lanes, groups, |g, x| {
+                if m[g].as_deref().is_none_or(|cur| x < cur) {
+                    m[g] = Some(x.to_vec());
+                }
+            });
+        }
+        (AggKind::MaxBytes, StateColumn::Bytes(m), ColumnVector::Bytes(v)) => {
+            for_non_null!(v, lanes, groups, |g, x| {
+                if m[g].as_deref().is_none_or(|cur| x > cur) {
+                    m[g] = Some(x.to_vec());
+                }
+            });
+        }
+        (AggKind::Avg, StateColumn::Avg { sum, count }, ColumnVector::Long(v)) => {
+            for_non_null!(v, lanes, groups, |g, x| {
+                sum[g] += x as f64;
+                count[g] += 1;
+            });
+        }
+        (AggKind::Avg, StateColumn::Avg { sum, count }, ColumnVector::Double(v)) => {
+            for_non_null!(v, lanes, groups, |g, x| {
+                sum[g] += x;
+                count[g] += 1;
+            });
+        }
+        (kind, _, _) => {
+            return Err(HiveError::Execution(format!(
+                "aggregate/column type mismatch for {kind:?}"
+            )))
+        }
+    }
+    Ok(())
 }
 
 /// Tight-loop update of one aggregate over a whole batch (global case).
@@ -401,82 +867,6 @@ fn update_vectorized(
     Ok(())
 }
 
-/// Per-row update (keyed case).
-fn update_one(
-    spec: &AggSpec,
-    state: &mut AggState,
-    batch: &VectorizedRowBatch,
-    i: usize,
-) -> Result<()> {
-    if let (AggKind::CountStar, AggState::Count(c)) = (spec.kind, &mut *state) {
-        *c += 1;
-        return Ok(());
-    }
-    let col = &batch.columns[spec
-        .input_column
-        .ok_or_else(|| HiveError::Execution("aggregate missing input column".into()))?];
-    if col.is_null(i) {
-        return Ok(());
-    }
-    match (spec.kind, state, col) {
-        (AggKind::Count, AggState::Count(c), _) => *c += 1,
-        (AggKind::SumLong, AggState::SumLong { sum, seen }, ColumnVector::Long(v)) => {
-            *sum = sum.wrapping_add(v.value(i));
-            *seen = true;
-        }
-        (AggKind::SumDouble, AggState::SumDouble { sum, seen }, ColumnVector::Double(v)) => {
-            *sum += v.value(i);
-            *seen = true;
-        }
-        (AggKind::SumDouble, AggState::SumDouble { sum, seen }, ColumnVector::Long(v)) => {
-            *sum += v.value(i) as f64;
-            *seen = true;
-        }
-        (AggKind::Avg, AggState::Avg { sum, count }, ColumnVector::Long(v)) => {
-            *sum += v.value(i) as f64;
-            *count += 1;
-        }
-        (AggKind::Avg, AggState::Avg { sum, count }, ColumnVector::Double(v)) => {
-            *sum += v.value(i);
-            *count += 1;
-        }
-        (AggKind::MinLong, AggState::MinLong(m), ColumnVector::Long(v)) => {
-            let x = v.value(i);
-            *m = Some(m.map_or(x, |cur| cur.min(x)));
-        }
-        (AggKind::MaxLong, AggState::MaxLong(m), ColumnVector::Long(v)) => {
-            let x = v.value(i);
-            *m = Some(m.map_or(x, |cur| cur.max(x)));
-        }
-        (AggKind::MinDouble, AggState::MinDouble(m), ColumnVector::Double(v)) => {
-            let x = v.value(i);
-            *m = Some(m.map_or(x, |cur| cur.min(x)));
-        }
-        (AggKind::MaxDouble, AggState::MaxDouble(m), ColumnVector::Double(v)) => {
-            let x = v.value(i);
-            *m = Some(m.map_or(x, |cur| cur.max(x)));
-        }
-        (AggKind::MinBytes, AggState::MinBytes(m), ColumnVector::Bytes(v)) => {
-            let x = v.value(i);
-            if m.as_deref().is_none_or(|cur| x < cur) {
-                *m = Some(x.to_vec());
-            }
-        }
-        (AggKind::MaxBytes, AggState::MaxBytes(m), ColumnVector::Bytes(v)) => {
-            let x = v.value(i);
-            if m.as_deref().is_none_or(|cur| x > cur) {
-                *m = Some(x.to_vec());
-            }
-        }
-        (kind, _, _) => {
-            return Err(HiveError::Execution(format!(
-                "aggregate/column type mismatch for {kind:?}"
-            )))
-        }
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -544,7 +934,7 @@ mod tests {
         agg.process(&b).unwrap();
         let rows = agg.finish();
         assert_eq!(rows.len(), 2);
-        // Sorted deterministic order: key 1 then key 2.
+        // First-seen order: key 1 then key 2.
         assert_eq!(
             rows[0].values(),
             &[Value::Int(1), Value::Double(90.0), Value::Int(3)]

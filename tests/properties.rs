@@ -111,6 +111,32 @@ fn value_strategy(dt: &DataType) -> BoxedStrategy<Value> {
     prop_oneof![9 => non_null, 1 => Just(Value::Null)].boxed()
 }
 
+/// A value of any kind, nested up to `depth` levels of Array, Map, Struct
+/// and Union; strings run past 127 bytes so length varints take two bytes.
+fn any_value(depth: u32) -> BoxedStrategy<Value> {
+    let leaf = prop_oneof![
+        Just(Value::Null),
+        any::<bool>().prop_map(Value::Boolean),
+        any::<i64>().prop_map(Value::Int),
+        any::<u64>().prop_map(|b| Value::Double(f64::from_bits(b))),
+        "[a-z0-9 ]{0,200}".prop_map(Value::String),
+        any::<i64>().prop_map(Value::Timestamp),
+    ]
+    .boxed();
+    if depth == 0 {
+        return leaf;
+    }
+    let inner = || any_value(depth - 1);
+    prop_oneof![
+        3 => leaf,
+        1 => proptest::collection::vec(inner(), 0..4).prop_map(Value::Array),
+        1 => proptest::collection::vec((inner(), inner()), 0..3).prop_map(Value::Map),
+        1 => proptest::collection::vec(inner(), 0..4).prop_map(Value::Struct),
+        1 => (any::<u8>(), inner()).prop_map(|(t, v)| Value::Union(t, Box::new(v))),
+    ]
+    .boxed()
+}
+
 fn rows_strategy() -> impl Strategy<Value = (Vec<DataType>, Vec<Row>)> {
     let dt = prop_oneof![
         Just(DataType::Int),
@@ -357,6 +383,17 @@ proptest! {
             let back = hive::formats::serde::binary_deserialize_row(&buf, &mut pos).unwrap();
             prop_assert_eq!(&back, row);
             prop_assert_eq!(pos, buf.len());
+        }
+    }
+
+    #[test]
+    fn binary_serialized_len_matches_serializer(
+        rows in proptest::collection::vec(proptest::collection::vec(any_value(2), 0..150), 1..4)
+    ) {
+        for values in &rows {
+            let mut buf = Vec::new();
+            hive::formats::serde::binary_serialize_row(&Row::new(values.clone()), &mut buf);
+            prop_assert_eq!(hive::formats::serde::binary_serialized_len(values), buf.len());
         }
     }
 
